@@ -69,9 +69,9 @@ FUNCTIONS: Tuple[Tuple[str, str, str], ...] = (
 )
 
 #: per-layer metric -> unit, in report order.  ``ms/op`` metrics are self
-#: times per executed operation over the whole timed phase; ``count``
-#: metrics and ratios cover the first operations of the first round, which
-#: every run executes identically, so they repeat exactly.
+#: times per operation over the whole timed phase; ``count`` metrics and
+#: ratios cover the first operations of the run, which every run at one
+#: seed executes identically, so they repeat exactly.
 PER_LAYER: Dict[str, str] = {
     "exp.run_self_ms": "ms/op",
     "exp.cache_get_ms": "ms/op",
@@ -287,8 +287,7 @@ def per_layer_metrics(
     tracer: Tracer,
     *,
     ops: int,
-    executions: int,
-    wall_s: float,
+    ops_seconds: float,
     window: Dict[str, int],
     window_tally: Dict[str, int],
     csr_peak_bytes: float,
@@ -296,15 +295,14 @@ def per_layer_metrics(
 ) -> Dict[str, float]:
     """Every :data:`PER_LAYER` metric of one traced run.
 
-    ``ops`` distinct operations ran ``executions`` times in all; the
-    fastest round took ``wall_s``.  ``window``/``window_tally`` are the
-    counter and tally deltas over the first operations of the first round
-    (the exact-count window); ``events_total`` is the packet event count
-    over the whole timed phase.
+    ``ops`` operations took ``ops_seconds`` reference seconds in all
+    (see ``run.py``).  ``window``/``window_tally`` are the counter and tally
+    deltas over the first operations of the run (the exact-count window);
+    ``events_total`` is the packet event count over the whole timed phase.
     """
     own = tracer.self_times()
     out: Dict[str, float] = {
-        metric: 1e3 * sum(own.get(n, 0.0) for n in names) / executions
+        metric: 1e3 * sum(own.get(n, 0.0) for n in names) / ops
         for metric, names in _SELF_TIME.items()
     }
     out["exp.cache_hit_ratio"] = _ratio(
@@ -331,6 +329,6 @@ def per_layer_metrics(
     out["allocation.success_ratio"] = _ratio(
         window_tally.get("allocation.placed", 0), window_tally.get("allocation.calls", 0)
     )
-    out["trace.ops_per_s"] = ops / wall_s
-    out["trace.spans_per_op"] = tracer.num_spans / executions
+    out["trace.ops_per_s"] = ops / ops_seconds
+    out["trace.spans_per_op"] = tracer.num_spans / ops
     return {name: out[name] for name in PER_LAYER}

@@ -8,7 +8,8 @@ Runs ``perfbench/run.py`` once per (workload, seed), one process at a time,
 with seeds ``first-seed .. first-seed+runs-1``, and prints for every metric
 the median, the quartiles and the quartile spread ``(q3 - q1) / median``
 as ``statistics.quantiles(values, n=4)`` gives them, next to the metric's
-bound from ``BENCHMARK.json``.  ``--out`` also writes the raw values and
+bound from ``BENCHMARK.json``, and the spreads of the unscaled wall-time
+figures from the ``# info`` line.  ``--out`` also writes the raw values and
 the spreads as JSON.
 """
 
@@ -72,6 +73,11 @@ def main() -> int:
                 f"spread {stats[name]['spread']:7.4f} bound {bound} {flag}",
                 flush=True,
             )
+        # the unscaled wall-time figures, for comparison with the reference ones
+        for name in ("wall_ops_per_s", "wall_op_p50_ms", "wall_op_p90_ms"):
+            values = [r["info"][name] for r in runs]
+            stats[name] = dict(spread(values), values=values)
+            print(f"{workload:18s} {name:26s} spread {stats[name]['spread']:7.4f}", flush=True)
         print(f"{workload:18s} failed operations: {failed}", flush=True)
         report[workload] = {
             "failed": failed,

@@ -3,44 +3,39 @@
 Each workload is one object with the same small surface:
 
 * ``setup()`` builds everything the timed phase needs (topologies,
-  simulators, warm route tables, cache directory).  ``run.py`` calls it
-  several times and keeps the state of the last call, so every call
-  starts from an empty route-table memo and rebuilds from scratch.
-* ``ops()`` yields an endless, seeded stream of operation inputs in blocks
-  of ``BLOCK`` operations.  The same workload seed always yields the same
-  stream; the library only ever sees the generated inputs.
+  simulators, warm route tables, cache directory), starting from an empty
+  route-table memo.
+* ``ops()`` yields an endless stream of operation inputs in passes of
+  ``PASS`` operations, each pass a sequence of blocks.  Pass ``p`` always
+  holds the same blocks of operations, fixed by the workload and ``p``
+  alone; the workload seed only shuffles the order within each block.  The
+  timed phase runs whole passes, so every run of a workload does the same
+  work whatever its seed, and only the host's speed moves its figures.
+  The same seed always yields the same stream; the library only ever sees
+  the generated inputs.
 * ``run(op)`` executes one operation through the public ``repro`` API and
   returns ``(ok, out)``: whether every output check passed and a byte
   string summarising the simulated outputs (fed to the run digest).
 * ``close()`` releases what ``setup`` created on disk.
 
-Each workload also fixes ``MIN_OPS``, the fewest operations one round of
-its timed phase runs, and ``ROUNDS``.  Workloads whose operations vary
-widely in cost (``topology_sweep``, ``cluster_twin``) spend their time on
-distinct inputs in a single round.  Workloads whose operations cost about
-the same (``adversary_search``, ``packet_collective``) replay their inputs
-in a second round, so that a burst of contention on a shared host, which
-only ever slows an operation down, can be filtered out; their ``reset()``
-returns to the state ``setup()`` left, so a replay does the same work.
-
-Inputs are drawn in balanced, shuffled blocks (every family, size or
-policy appears once per block) so that the mix of expensive and cheap
-operations in a run does not depend on the seed; only the per-operation
-details (permutations, seeds, shifts, fault sets) do.
+Passes are balanced: every family, simulator, message set, size or policy
+appears equally often in one.
 
 The route-table memo (``repro.sim.routing.route_table_for``) keeps every
 table, and through it every topology, alive until ``clear_route_tables()``
 -- its weak topology keys never expire because each table holds its
 topology strongly.  Workloads whose operations build fresh topologies
 (``topology_sweep``, ``cluster_twin``) therefore open a new session with
-``clear_route_tables()`` every few operations: the retention still shows
-in ``peak_rss_mb`` (one session's worth of tables), while a run's memory
-stays bounded and independent of how many operations it completes.
+``clear_route_tables()`` at the start of every block: the retention still
+shows in ``peak_rss_mb`` (one block's worth of tables), while a run's
+memory stays bounded and independent of how many operations it completes
+and of their order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import shutil
 import struct
@@ -70,38 +65,63 @@ __all__ = ["WORKLOADS", "make_workload"]
 _FRACTION_SLACK = 1e-9
 
 
-def _stream_rng(seed: int, salt: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), salt])
-
-
 def _floats(*values: float) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
 
-class TopologySweep:
-    """Fig 12 / Table II design-space queries through the experiment engine.
-
-    One operation is one ``Runner.run`` of one ``fig12_cell`` query (one of
-    the eight 1,024-accelerator ``small`` families, one permutation,
-    ``max_paths=8``, policy ``minimal``).  Blocks of eleven operations hold
-    the eight families once each, in shuffled order, plus three repeats of
-    earlier queries of the run, which the run's fresh on-disk cache answers.
-    Each block is one routing session.
-    """
-
-    name = "topology_sweep"
-    BLOCK = 11
-    MIN_OPS = 110
-    ROUNDS = 1
-    _REPEATS_PER_BLOCK = 3
+class _Workload:
+    name = ""
+    PASS = 0
+    #: separates the random streams of the workloads
+    SALT = 0
 
     def __init__(self, seed: int, workdir: Path) -> None:
         self.seed = seed
         self.workdir = workdir
+
+    def _blocks(self, index: int) -> List[list]:
+        """The ``PASS`` operations of pass ``index`` as blocks, before
+        shuffling."""
+        raise NotImplementedError
+
+    def _pass_rng(self, index: int) -> np.random.Generator:
+        return np.random.default_rng([self.SALT, index])
+
+    def ops(self) -> Iterator[tuple]:
+        order = np.random.default_rng([int(self.seed), self.SALT])
+        for index in itertools.count():
+            for block in self._blocks(index):
+                for i in order.permutation(len(block)):
+                    yield block[int(i)]
+
+    def close(self) -> None:
+        pass
+
+
+class TopologySweep(_Workload):
+    """Fig 12 / Table II design-space queries through the experiment engine.
+
+    One operation is one ``Runner.run`` of one ``fig12_cell`` query (one of
+    the eight 1,024-accelerator ``small`` families, one permutation,
+    ``max_paths=8``, policy ``minimal``).  A pass is ten blocks of eleven
+    operations; a block holds one query per family plus three repeats of
+    them, and is one routing session.  Whichever copy of a repeated query
+    runs second is answered by the run's fresh on-disk cache.
+    """
+
+    name = "topology_sweep"
+    SALT = 0x5EE9
+    _REPEATS = 3
+    BLOCK = 8 + _REPEATS
+    PASS = 10 * BLOCK
+
+    def __init__(self, seed: int, workdir: Path) -> None:
+        super().__init__(seed, workdir)
         self.configs = {c.key: c for c in cluster_configs("small")}
         self.families = sorted(self.configs)
         self.runner = None
         self._first: dict = {}
+        self._done = 0
 
     def setup(self) -> None:
         # Warm every family's topology construction and the cold query path
@@ -113,38 +133,24 @@ class TopologySweep:
             cluster="small", key="torus", num_permutations=1, max_paths=8,
             seed=0, backend="flow", policy="minimal",
         )
-        if self.runner is not None:
-            self.runner.close()
         shutil.rmtree(self.workdir, ignore_errors=True)
         self.runner = Runner(workers=1, cache=ResultCache(self.workdir / "cache"))
-        self._first = {}
 
-    def ops(self) -> Iterator[Tuple[str, int, bool, bool]]:
-        rng = _stream_rng(self.seed, 0x5EE9)
-        issued: List[Tuple[str, int]] = []
-        used = set()
-        while True:
-            block: List[object] = list(rng.permutation(self.families))
-            for _ in range(self._REPEATS_PER_BLOCK):
-                # position >= 1: a block never opens with a repeat, so the
-                # first block always has a query to repeat
-                block.insert(int(rng.integers(1, len(block) + 1)), None)
-            for pos, key in enumerate(block):
-                if key is None:
-                    fam, perm_seed = issued[int(rng.integers(len(issued)))]
-                    yield fam, perm_seed, True, False
-                    continue
-                perm_seed = int(rng.integers(2**31))
-                while (key, perm_seed) in used:
-                    perm_seed = int(rng.integers(2**31))
-                used.add((key, perm_seed))
-                issued.append((str(key), perm_seed))
-                yield str(key), perm_seed, False, pos == 0
+    def _blocks(self, index: int) -> List[List[Tuple[str, int]]]:
+        rng = self._pass_rng(index)
+        blocks = []
+        for b in range(self.PASS // self.BLOCK):
+            fresh = [(key, 1 + 1000 * index + 100 * b + f) for f, key in enumerate(self.families)]
+            repeats = rng.choice(len(fresh), self._REPEATS, replace=False)
+            blocks.append(fresh + [fresh[int(i)] for i in repeats])
+        return blocks
 
-    def run(self, op: Tuple[str, int, bool, bool]) -> Tuple[bool, bytes]:
-        key, perm_seed, repeat, new_session = op
-        if new_session:
+    def run(self, op: Tuple[str, int]) -> Tuple[bool, bytes]:
+        key, perm_seed = op
+        if self._done % self.BLOCK == 0:
             clear_route_tables()
+        self._done += 1
+        repeat = op in self._first
         scenario = Scenario(
             kernel_ref(fig12_cell),
             {
@@ -164,9 +170,9 @@ class TopologySweep:
         )
         out = hashlib.sha256(canonical_json(values).encode()).digest()
         if repeat:
-            ok = ok and self._first.get((key, perm_seed)) == out
+            ok = ok and self._first[op] == out
         else:
-            self._first[(key, perm_seed)] = out
+            self._first[op] = out
         return ok, out
 
     def close(self) -> None:
@@ -175,17 +181,16 @@ class TopologySweep:
         shutil.rmtree(self.workdir, ignore_errors=True)
 
 
-class AdversarySearch:
+class AdversarySearch(_Workload):
     """Annealed adversary searches on warm, prebuilt flow simulators.
 
     One operation is one ``anneal_adversary(sim, steps=64, batch=16,
-    seed=k)``; blocks of five hold each simulator once, in shuffled order.
+    seed=k)``; a pass holds twenty searches per simulator.
     """
 
     name = "adversary_search"
-    BLOCK = 5
-    MIN_OPS = 50
-    ROUNDS = 2
+    SALT = 0xAD75
+    _PER_MEMBER = 20
     _MEMBERS = (
         ("hx2mesh", "minimal"),
         ("hx4mesh", "minimal"),
@@ -193,9 +198,10 @@ class AdversarySearch:
         ("ft_tapered50", "minimal"),
         ("hx2mesh", "ugal"),
     )
+    PASS = len(_MEMBERS) * _PER_MEMBER
 
     def __init__(self, seed: int, workdir: Path) -> None:
-        self.seed = seed
+        super().__init__(seed, workdir)
         self.configs = {c.key: c for c in cluster_configs("small")}
         self.sims: List[FlowSimulator] = []
 
@@ -209,16 +215,12 @@ class AdversarySearch:
             anneal_adversary(sim, steps=64, batch=16, seed=0)
             self.sims.append(sim)
 
-    def reset(self) -> None:
-        # Searches fill the route tables with the pairs they explore, so
-        # only rebuilt simulators do the same work again.
-        self.setup()
-
-    def ops(self) -> Iterator[Tuple[int, int]]:
-        rng = _stream_rng(self.seed, 0xAD75)
-        while True:
-            for member in rng.permutation(len(self._MEMBERS)):
-                yield int(member), int(rng.integers(1, 2**31))
+    def _blocks(self, index: int) -> List[List[Tuple[int, int]]]:
+        return [[
+            (member, 1 + 1000 * index + j)
+            for member in range(len(self._MEMBERS))
+            for j in range(self._PER_MEMBER)
+        ]]
 
     def run(self, op: Tuple[int, int]) -> Tuple[bool, bytes]:
         member, search_seed = op
@@ -240,40 +242,39 @@ class AdversarySearch:
         self.sims = []
 
 
-class PacketCollective:
+class PacketCollective(_Workload):
     """Packet-level message sets on a prebuilt 64-accelerator Hx2Mesh.
 
-    One operation is one fresh ``PacketNetwork`` run to completion.  Blocks
-    of 24 operations hold every (message set, size, policy) combination
-    once, in shuffled order; three operations per block also kill two
-    cables mid-flight.
+    One operation is one fresh ``PacketNetwork`` run to completion.  A pass
+    holds every (message set, size, policy) combination once; three
+    operations per pass also kill two cables mid-flight.
     """
 
     name = "packet_collective"
-    BLOCK = 24
-    MIN_OPS = 96
-    ROUNDS = 2
+    SALT = 0xFAC7
     _SETS = ("permutation", "alltoall", "ring")
     _SIZES = (8 * 1024, 32 * 1024, 128 * 1024, 256 * 1024)
     #: adaptive candidates per pair.  Set-up enumerates every pair's UGAL
     #: detours, which costs about four times as much at 8 paths as at 2.
     _MAX_PATHS = 2
     _POLICIES = ("minimal", "ugal")
-    _FAULTS_PER_BLOCK = 3
+    _COMBOS = list(itertools.product(_SETS, _SIZES, _POLICIES))
+    PASS = len(_COMBOS)
+    _FAULTS_PER_PASS = 3
     _FAULT_CABLES = 2
     _RANKS = 64
 
     def __init__(self, seed: int, workdir: Path) -> None:
-        self.seed = seed
+        super().__init__(seed, workdir)
         self.topo = None
         self.configs = {
             p: PacketSimConfig(policy=p, max_paths=self._MAX_PATHS) for p in self._POLICIES
         }
 
     def setup(self) -> None:
-        # A fresh topology per set-up (cold tables); every ordered pair's
-        # candidate paths are enumerated under each policy, and one small
-        # permutation warms the simulator itself.
+        # A fresh topology (cold tables); every ordered pair's candidate
+        # paths are enumerated under each policy, and one small permutation
+        # warms the simulator itself.
         clear_route_tables()
         self.topo = build_hammingmesh(2, 2, 4, 4)
         nodes = list(self.topo.accelerators)
@@ -286,28 +287,22 @@ class PacketCollective:
             net.send_flows(random_permutation(self._RANKS, seed=0), config.packet_size)
             net.run()
 
-    def reset(self) -> None:
-        pass  # every operation builds its own network on the warm tables
-
-    def ops(self) -> Iterator[tuple]:
-        rng = _stream_rng(self.seed, 0xFAC7)
-        combos = [
-            (s, z, p) for s in self._SETS for z in self._SIZES for p in self._POLICIES
-        ]
-        while True:
-            faulty = set(
-                int(i) for i in rng.choice(len(combos), self._FAULTS_PER_BLOCK, replace=False)
-            )
-            for i in rng.permutation(len(combos)):
-                kind, size, policy = combos[int(i)]
-                flow_seed = int(rng.integers(2**31))
-                fault = None
-                if int(i) in faulty:
-                    # a kill time inside the transfer: a fraction of the
-                    # time one link needs to serialise the message twice
-                    when = float(rng.uniform(0.2, 0.8)) * 2.0 * size / 50e9
-                    fault = (int(rng.integers(2**31)), when)
-                yield kind, size, policy, flow_seed, fault
+    def _blocks(self, index: int) -> List[list]:
+        rng = self._pass_rng(index)
+        faulty = set(
+            int(i) for i in rng.choice(self.PASS, self._FAULTS_PER_PASS, replace=False)
+        )
+        items = []
+        for i, (kind, size, policy) in enumerate(self._COMBOS):
+            flow_seed = int(rng.integers(2**31))
+            fault = None
+            if i in faulty:
+                # a kill time inside the transfer: a fraction of the time
+                # one link needs to serialise the message twice
+                when = float(rng.uniform(0.2, 0.8)) * 2.0 * size / 50e9
+                fault = (int(rng.integers(2**31)), when)
+            items.append((kind, size, policy, flow_seed, fault))
+        return [items]
 
     def _flows(self, kind: str, flow_seed: int):
         p = self._RANKS
@@ -360,22 +355,26 @@ class PacketCollective:
         self.topo = None
 
 
-class ClusterTwin:
+class ClusterTwin(_Workload):
     """Digital-twin lifetime runs with failures coupled into the network.
 
     One operation is one ``ClusterSimulator.run()`` of an 8x8-board cluster:
-    100 jobs at load 1.5, board MTBF 200 h, network coupling on.  Every
-    eight operations form one routing session.
+    100 jobs at load 1.5, board MTBF 200 h, network coupling on.  A pass
+    is ten blocks of ten consecutive config seeds, and a block is one
+    routing session.  An operation's cost varies with its config seed by
+    more than ten times (its failures and queueing), which is why a run
+    executes the same seeds whatever its workload seed.
     """
 
     name = "cluster_twin"
-    BLOCK = 8
-    MIN_OPS = 104
-    ROUNDS = 1
+    SALT = 0xC1A5
+    BLOCK = 10
+    PASS = 10 * BLOCK
     _WARMUP_SEED = 0
 
     def __init__(self, seed: int, workdir: Path) -> None:
-        self.seed = seed
+        super().__init__(seed, workdir)
+        self._done = 0
 
     @staticmethod
     def _config(seed: int) -> ClusterSimConfig:
@@ -386,21 +385,21 @@ class ClusterTwin:
 
     def setup(self) -> None:
         # One coupled warm-up run: builds the coupled fabric, its probe
-        # route tables and warm fault-event state, and the scheduler path.
+        # route tables and fault-event state, and the scheduler path.
         clear_route_tables()
         ClusterSimulator(self._config(self._WARMUP_SEED)).run()
 
-    def ops(self) -> Iterator[Tuple[int, bool]]:
-        rng = _stream_rng(self.seed, 0xC1A5)
-        k = 0
-        while True:
-            yield int(rng.integers(1, 2**31)), k % self.BLOCK == 0
-            k += 1
+    def _blocks(self, index: int) -> List[List[int]]:
+        first = 1 + self.PASS * index
+        return [
+            list(range(first + b, first + b + self.BLOCK))
+            for b in range(0, self.PASS, self.BLOCK)
+        ]
 
-    def run(self, op: Tuple[int, bool]) -> Tuple[bool, bytes]:
-        config_seed, new_session = op
-        if new_session:
+    def run(self, config_seed: int) -> Tuple[bool, bytes]:
+        if self._done % self.BLOCK == 0:
             clear_route_tables()
+        self._done += 1
         report = ClusterSimulator(self._config(config_seed)).run()
         summary = report.summary()
         ok = (
@@ -412,9 +411,6 @@ class ClusterTwin:
             + json.dumps(summary, sort_keys=True).encode()
         ).digest()
         return ok, out
-
-    def close(self) -> None:
-        pass
 
 
 WORKLOADS = {
