@@ -7,12 +7,13 @@ set of dead directed links and dead nodes; it never mutates a
 :class:`~repro.topology.base.Topology` — instead it is applied as a
 *masked degraded view* at the routing layer:
 
-* :class:`DegradedPathProvider` wraps the family's structured path
-  provider and filters its candidate paths against the dead set.  Pairs
-  whose minimal candidates all died reroute over surviving paths via a
-  BFS over the surviving subgraph; pairs with no surviving path raise
-  :class:`~repro.topology.base.TopologyError` (callers report them via
-  :func:`split_connected` rather than crashing).
+* :class:`DegradedPathProvider` reads the structured candidates from the
+  memoized fault-free minimal route tables and filters them against the
+  dead set.  Pairs whose minimal candidates all died reroute over the
+  shortest surviving paths, found by the batched surviving-subgraph BFS
+  of :class:`~repro.sim.paths.SurvivorReach`; pairs with no surviving
+  path raise :class:`~repro.topology.base.TopologyError` (callers report
+  them via :func:`split_connected` rather than crashing).
 * :func:`degraded_route_table` builds (and memoizes) a private
   :class:`~repro.sim.routing.RouteTable` over the degraded provider, so
   every routing policy — including Valiant/UGAL detours, whose segments
@@ -35,7 +36,6 @@ comparable along a schedule (:func:`link_fault_schedule`).
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -54,7 +54,7 @@ from .._hash import mix64
 from ..obs import registry as _obs
 from ..topology.base import Topology, TopologyError
 from .flowsim import FlowSimulator, WarmState
-from .paths import DEFAULT_MAX_PATHS, PathProvider, path_provider_for
+from .paths import DEFAULT_MAX_PATHS, PathProvider, SurvivorReach
 from .policy import RoutingPolicy, get_policy
 from .routing import RouteTable, register_route_cache_client, route_table_for
 from .traffic import Flow
@@ -292,17 +292,40 @@ def board_fault_set(topo: Topology, boards: Iterable[Tuple[int, int]]) -> FaultS
 # ---------------------------------------------------------------------------
 #  Degraded routing view
 # ---------------------------------------------------------------------------
+class _FaultFreeCandidates:
+    """Structured candidates read from the memoized fault-free minimal tables.
+
+    ``paths(src, dst, w)`` answers from ``route_table_for(topo,
+    max_paths=w)``, which stores exactly the family provider's
+    ``paths(src, dst, w)`` — so every fault set's degraded view reuses the
+    fault-free enumeration, a pair is enumerated once per
+    ``(topology, width)``, and :func:`~repro.sim.routing.clear_route_tables`
+    releases the result.
+    """
+
+    def __init__(self, topo: Topology):
+        self.topo = topo
+
+    def paths(
+        self, src: int, dst: int, max_paths: int = DEFAULT_MAX_PATHS
+    ) -> List[List[int]]:
+        return route_table_for(self.topo, max_paths=max_paths).paths(src, dst)
+
+
 class DegradedPathProvider:
     """Masked view of a path provider under a :class:`FaultSet`.
 
-    Candidate paths from the wrapped (family-structured) provider are
-    filtered against the dead links; when every structured candidate
-    died, the pair reroutes over surviving paths via a BFS on the
-    surviving subgraph (shortest surviving paths — possibly longer than
-    the fault-free minimal ones).  Policies that enumerate detour
-    segments (Valiant/UGAL) route those segments through this provider
-    too, so detours also avoid dead links.  Disconnected pairs raise
-    :class:`TopologyError`; use :meth:`connected` to pre-filter.
+    Candidate paths from ``base`` are filtered against the dead links; the
+    default ``base`` reads them from the memoized fault-free minimal route
+    tables, so fault events never re-enumerate what the fault-free path
+    already routed.  When every structured candidate died, the pair
+    reroutes over the shortest surviving paths (possibly longer than the
+    fault-free minimal ones), found from the batched surviving-subgraph BFS
+    of :class:`~repro.sim.paths.SurvivorReach`.  Policies that enumerate
+    detour segments (Valiant/UGAL) route those segments through this
+    provider too, so detours also avoid dead links.  Disconnected pairs
+    raise :class:`TopologyError`; use :meth:`connected` or
+    :meth:`connected_many` to pre-filter.
     """
 
     def __init__(
@@ -315,11 +338,15 @@ class DegradedPathProvider:
     ):
         self.topo = topo
         self.faults = faults
-        self.base = base if base is not None else path_provider_for(topo)
+        self.base = base if base is not None else _FaultFreeCandidates(topo)
         self._dead_links = frozenset(faults.dead_links)
         self._dead_nodes = frozenset(faults.dead_nodes)
-        self._dist_cache: "OrderedDict[int, List[int]]" = OrderedDict()
-        self._dist_cache_entries = max(1, int(dist_cache_entries))
+        self._reach = SurvivorReach(
+            topo,
+            dead_links=self._dead_links,
+            dead_nodes=self._dead_nodes,
+            cache_entries=dist_cache_entries,
+        )
 
     # ------------------------------------------------------------------ queries
     def _alive(self, path: Sequence[int]) -> bool:
@@ -362,65 +389,25 @@ class DegradedPathProvider:
         return out
 
     def connected(self, src: int, dst: int) -> bool:
-        """Whether a surviving path exists (no exception, cached BFS)."""
+        """Whether a surviving path exists (no exception; the destination's
+        distance row is computed once and cached)."""
         if src == dst:
             return True
         if src in self._dead_nodes or dst in self._dead_nodes:
             return False
-        return self._distances_to(dst)[src] >= 0
+        return bool(self._reach.distances_to(dst)[src] >= 0)
 
-    # ------------------------------------------------- surviving-subgraph BFS
-    def _distances_to(self, dst: int) -> List[int]:
-        cached = self._dist_cache.get(dst)
-        if cached is not None:
-            self._dist_cache.move_to_end(dst)
-            return cached
-        dead_links = self._dead_links
-        dead_nodes = self._dead_nodes
-        dist = [-1] * self.topo.num_nodes
-        if dst not in dead_nodes:
-            dist[dst] = 0
-            q = deque([dst])
-            while q:
-                u = q.popleft()
-                for li in self.topo.in_links(u):
-                    if li in dead_links:
-                        continue
-                    v = self.topo.link(li).src
-                    if dist[v] < 0 and v not in dead_nodes:
-                        dist[v] = dist[u] + 1
-                        q.append(v)
-        self._dist_cache[dst] = dist
-        if len(self._dist_cache) > self._dist_cache_entries:
-            self._dist_cache.popitem(last=False)
-        return dist
+    def connected_many(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """:meth:`connected` of many pairs at once, as a boolean array.
+
+        The distinct destinations are answered by batched BFS sweeps
+        (:meth:`~repro.sim.paths.SurvivorReach.reachable`).
+        """
+        return self._reach.reachable(src, dst)
 
     def _survivor_paths(self, src: int, dst: int, max_paths: int) -> List[List[int]]:
-        dist = self._distances_to(dst)
-        if dist[src] < 0:
-            return []
-        dead_links = self._dead_links
-        out: List[List[int]] = []
-
-        def descend(node: int, acc: List[int]) -> None:
-            if len(out) >= max_paths:
-                return
-            if node == dst:
-                out.append(list(acc))
-                return
-            for li in self.topo.out_links(node):
-                if li in dead_links:
-                    continue
-                v = self.topo.link(li).dst
-                if dist[v] == dist[node] - 1:
-                    acc.append(li)
-                    descend(v, acc)
-                    acc.pop()
-                    if len(out) >= max_paths:
-                        return
-
-        descend(src, [])
-        return out
+        """Shortest surviving paths (``[]`` when ``dst`` is unreachable)."""
+        return self._reach.descend(src, dst, max_paths)
 
 
 # ------------------------------------------------------------- degraded tables
@@ -482,17 +469,19 @@ def split_connected(
     """Split ``(src_node, dst_node)`` pairs into connected / disconnected.
 
     On a fault-free table every pair is connected (index lists
-    ``(all, [])`` without any BFS); on a degraded table disconnected
-    pairs are reported by index — this is the "report, don't crash"
-    entry point backends use before solving.
+    ``(all, [])`` without any BFS); on a degraded table all pairs are
+    answered by one :meth:`DegradedPathProvider.connected_many` call and
+    disconnected pairs are reported by index (and counted in
+    ``faults.pairs_disconnected``) — this is the "report, don't crash"
+    entry point backends and :class:`FaultEventSolver` use before solving.
     """
     provider = getattr(table, "provider", None)
     if not isinstance(provider, DegradedPathProvider):
         return list(range(len(pairs))), []
-    ok: List[int] = []
-    dead: List[int] = []
-    for k, (s, d) in enumerate(pairs):
-        (ok if provider.connected(s, d) else dead).append(k)
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    alive = provider.connected_many(ends[:, 0], ends[:, 1])
+    ok = np.flatnonzero(alive).tolist()
+    dead = np.flatnonzero(~alive).tolist()
     if dead:
         _PAIRS_DISCONNECTED.inc(len(dead))
     return ok, dead
@@ -599,16 +588,11 @@ class FaultEventSolver:
     def apply(self, faults: FaultSet) -> FaultStepReport:
         """Advance to the cumulative fault set ``faults`` and re-solve."""
         sim = self._sim_for(faults)
-        provider = sim.table.provider
-        if isinstance(provider, DegradedPathProvider):
-            ranks = sim.ranks
-            active = tuple(
-                i
-                for i, f in enumerate(self.flows)
-                if provider.connected(ranks[f.src], ranks[f.dst])
-            )
-        else:
-            active = tuple(range(len(self.flows)))
+        ranks = sim.ranks
+        ok, _ = split_connected(
+            sim.table, [(ranks[f.src], ranks[f.dst]) for f in self.flows]
+        )
+        active = tuple(ok)
         newly_dead = faults.dead_links - self.faults.dead_links
         monotone = (
             not (self.faults.dead_links - faults.dead_links)

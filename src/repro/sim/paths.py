@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+
+import numpy as np
 
 from .._hash import mix64
 from ..core.routing import HxMeshRouter
@@ -33,6 +35,8 @@ from ..topology.base import Topology, TopologyError
 __all__ = [
     "DEFAULT_MAX_PATHS",
     "PathProvider",
+    "BFS_CHUNK",
+    "SurvivorReach",
     "GenericPathProvider",
     "FatTreePathProvider",
     "DragonflyPathProvider",
@@ -61,17 +65,196 @@ class PathProvider(Protocol):
 
 
 # ---------------------------------------------------------------------------
+#: Destinations per batched BFS sweep.  A sweep holds one int32 distance
+#: row per destination, so reachability memory is ``BFS_CHUNK * num_nodes``
+#: however many destinations a query names.
+BFS_CHUNK = 64
+
+
+class SurvivorReach:
+    """Hop distances *to* destinations over a topology's surviving links.
+
+    A link survives when it is not in ``dead_links`` and neither endpoint
+    is in ``dead_nodes`` (both empty == the whole topology).  Distances come
+    from one level-synchronous numpy BFS over the reversed surviving links
+    that advances a whole chunk of :data:`BFS_CHUNK` destinations one hop
+    level per step.  Rows are int32 arrays over node indices, ``-1`` ==
+    unreachable (a dead destination reaches nothing, not even itself); the
+    most recently used ``cache_entries`` rows are kept.  The reversed link
+    CSR is built on first use, from the links the topology has then.
+    """
+
+    def __init__(
+        self,
+        topo: Topology,
+        *,
+        dead_links: Iterable[int] = (),
+        dead_nodes: Iterable[int] = (),
+        cache_entries: int = 1024,
+    ):
+        self.topo = topo
+        self._dead_links = frozenset(dead_links)
+        self._dead_nodes = frozenset(dead_nodes)
+        self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._cache_entries = max(1, int(cache_entries))
+        self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def _reverse_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(node_dead, offsets, preds): ``preds[offsets[u]:offsets[u+1]]``
+        are the sources of ``u``'s surviving in-links."""
+        if self._csr is None:
+            topo = self.topo
+            n, num_links = topo.num_nodes, topo.num_links
+            src = np.fromiter((l.src for l in topo.links), dtype=np.int32, count=num_links)
+            dst = np.fromiter((l.dst for l in topo.links), dtype=np.int32, count=num_links)
+            node_dead = np.zeros(n, dtype=bool)
+            node_dead[list(self._dead_nodes)] = True
+            alive = ~(node_dead[src] | node_dead[dst])
+            alive[list(self._dead_links)] = False
+            src, dst = src[alive], dst[alive]
+            offsets = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(dst, minlength=n), out=offsets[1:])
+            preds = src[np.argsort(dst, kind="stable")]
+            self._csr = (node_dead, offsets, preds)
+        return self._csr
+
+    def _sweep(self, dsts: np.ndarray) -> np.ndarray:
+        """``(len(dsts), num_nodes)`` distance rows by one batched BFS.
+
+        The frontier is the set of flat ``row * num_nodes + node`` indices
+        reached at the previous level; each level gathers the surviving
+        in-link sources of every frontier entry at once and labels the
+        ones not reached yet.
+        """
+        node_dead, offsets, preds = self._reverse_csr()
+        k, n = len(dsts), self.topo.num_nodes
+        index = np.int32 if k * n < 2**31 else np.int64
+        dist = np.full(k * n, -1, dtype=np.int32)
+        live = ~node_dead[dsts]
+        frontier = (np.flatnonzero(live) * n + dsts[live]).astype(index)
+        dist[frontier] = 0
+        level = 0
+        while frontier.size:
+            level += 1
+            rows, nodes = np.divmod(frontier, index(n))
+            starts = offsets[nodes]
+            counts = offsets[nodes + 1] - starts
+            total = int(counts.sum())
+            shift = starts - np.cumsum(counts, dtype=index) + counts
+            reached = np.arange(total, dtype=index)
+            reached += np.repeat(shift, counts)
+            reached = preds[reached].astype(index, copy=False)
+            reached += np.repeat(rows * index(n), counts)
+            dist[reached[dist[reached] < 0]] = level
+            frontier = np.flatnonzero(dist == level).astype(index, copy=False)
+        return dist.reshape(k, n)
+
+    def _remember(self, dst: int, row: np.ndarray) -> None:
+        self._cache[dst] = row
+        if len(self._cache) > self._cache_entries:
+            self._cache.popitem(last=False)
+
+    def distances_to(self, dst: int) -> np.ndarray:
+        """Distance row of one destination (cached; treat as read-only).
+
+        A miss sweeps the whole aligned block of :data:`BFS_CHUNK` node ids
+        around ``dst``: one batched sweep of a block costs a fraction of one
+        sweep per destination, and callers that ask pair by pair usually
+        name neighbouring destinations next.
+        """
+        row = self._cache.get(dst)
+        if row is not None:
+            self._cache.move_to_end(dst)
+            return row
+        first = dst - dst % BFS_CHUNK
+        block = np.arange(first, min(first + BFS_CHUNK, self.topo.num_nodes))
+        return self._rows(block)[dst - first]
+
+    def _rows(self, dsts: np.ndarray) -> np.ndarray:
+        """Distance rows of at most :data:`BFS_CHUNK` destinations."""
+        out = np.empty((len(dsts), self.topo.num_nodes), dtype=np.int32)
+        missing: List[int] = []
+        for i, dst in enumerate(dsts.tolist()):
+            row = self._cache.get(dst)
+            if row is None:
+                missing.append(i)
+            else:
+                self._cache.move_to_end(dst)
+                out[i] = row
+        if missing:
+            out[missing] = self._sweep(dsts[missing])
+            for i in missing:
+                self._remember(int(dsts[i]), out[i].copy())
+        return out
+
+    def reachable(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Per pair: does a surviving path lead from ``src`` to ``dst``?
+
+        A node always reaches itself.  The distinct destinations are swept
+        :data:`BFS_CHUNK` at a time.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        ok = src == dst
+        pending = np.flatnonzero(~ok)
+        if not pending.size:
+            return ok
+        order = pending[np.argsort(dst[pending], kind="stable")]
+        targets, first = np.unique(dst[order], return_index=True)
+        bounds = np.append(first, len(order))
+        for start in range(0, len(targets), BFS_CHUNK):
+            chunk = targets[start : start + BFS_CHUNK]
+            rows = self._rows(chunk)
+            sel = order[bounds[start] : bounds[start + len(chunk)]]
+            row_of = np.searchsorted(chunk, dst[sel])
+            ok[sel] = rows[row_of, src[sel]] >= 0
+        return ok
+
+    def descend(self, src: int, dst: int, max_paths: int) -> List[List[int]]:
+        """Up to ``max_paths`` shortest surviving paths, in out-link order.
+
+        Depth-first along surviving links that step one hop closer to
+        ``dst``; ``[]`` when ``dst`` is unreachable.
+        """
+        dist = self.distances_to(dst)
+        if dist[src] < 0:
+            return []
+        topo = self.topo
+        dead = self._dead_links
+        out: List[List[int]] = []
+
+        def walk(node: int, acc: List[int]) -> None:
+            if node == dst:
+                out.append(list(acc))
+                return
+            closer = dist[node] - 1
+            for li in topo.out_links(node):
+                if li in dead:
+                    continue
+                v = topo.link(li).dst
+                if dist[v] == closer:
+                    acc.append(li)
+                    walk(v, acc)
+                    acc.pop()
+                    if len(out) >= max_paths:
+                        return
+
+        if max_paths > 0:
+            walk(src, [])
+        return out
+
+
 class GenericPathProvider:
     """BFS-based shortest-path provider for arbitrary topologies.
 
     Enumerates up to ``max_paths`` shortest paths by BFS from the destination
-    followed by a depth-first descent along distance-decreasing links.  This
-    is exact but O(V+E) per destination, so it is only used for small
-    topologies, tests, and as a fallback when a structured provider cannot
-    produce a path.
+    (:class:`SurvivorReach`) followed by a depth-first descent along
+    distance-decreasing links.  This is exact but O(V+E) per destination,
+    so it is only used for small topologies, tests, and as a fallback when
+    a structured provider cannot produce a path.
     """
 
-    #: default cap on cached per-destination distance maps (each map is
+    #: default cap on cached per-destination distance rows (each row is
     #: O(num_nodes), so an unbounded cache is an all-pairs memory hazard at
     #: scale); override per instance or via ``REPRO_PATHS_DIST_CACHE``
     DEFAULT_DIST_CACHE_ENTRIES = 1024
@@ -81,54 +264,17 @@ class GenericPathProvider:
         if dist_cache_entries is None:
             env = os.environ.get("REPRO_PATHS_DIST_CACHE", "").strip()
             dist_cache_entries = int(env) if env else self.DEFAULT_DIST_CACHE_ENTRIES
-        self._dist_cache_entries = max(1, int(dist_cache_entries))
-        self._dist_cache: "OrderedDict[int, List[int]]" = OrderedDict()
+        self._reach = SurvivorReach(topo, cache_entries=dist_cache_entries)
 
-    def _distances_to(self, dst: int) -> List[int]:
-        cached = self._dist_cache.get(dst)
-        if cached is not None:
-            self._dist_cache.move_to_end(dst)
-            return cached
-        dist = [-1] * self.topo.num_nodes
-        dist[dst] = 0
-        q = deque([dst])
-        while q:
-            u = q.popleft()
-            for li in self.topo.in_links(u):
-                v = self.topo.link(li).src
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    q.append(v)
-        self._dist_cache[dst] = dist
-        if len(self._dist_cache) > self._dist_cache_entries:
-            self._dist_cache.popitem(last=False)
-        return dist
+    def _distances_to(self, dst: int) -> np.ndarray:
+        return self._reach.distances_to(dst)
 
     def paths(self, src: int, dst: int, max_paths: int = DEFAULT_MAX_PATHS) -> List[List[int]]:
         if src == dst:
             return [[]]
-        dist = self._distances_to(dst)
-        if dist[src] < 0:
+        if self._reach.distances_to(dst)[src] < 0:
             raise TopologyError(f"no path from {src} to {dst}")
-        out: List[List[int]] = []
-
-        def descend(node: int, acc: List[int]) -> None:
-            if len(out) >= max_paths:
-                return
-            if node == dst:
-                out.append(list(acc))
-                return
-            for li in self.topo.out_links(node):
-                v = self.topo.link(li).dst
-                if dist[v] == dist[node] - 1:
-                    acc.append(li)
-                    descend(v, acc)
-                    acc.pop()
-                    if len(out) >= max_paths:
-                        return
-
-        descend(src, [])
-        return out
+        return self._reach.descend(src, dst, max_paths)
 
 
 # ---------------------------------------------------------------------------

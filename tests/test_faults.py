@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core import build_hammingmesh
+from repro.core.routing import HxMeshRouter
+from repro.obs import registry as obs_registry
 from repro.sim import (
     FaultEventSolver,
     FaultSet,
@@ -16,6 +20,7 @@ from repro.sim import (
     PacketSimConfig,
     degraded_route_table,
     link_fault_schedule,
+    clear_route_tables,
     random_permutation,
     route_table_for,
     sample_link_faults,
@@ -238,19 +243,69 @@ class TestFaultEventSolver:
             warm_steps += rep.warm
         assert warm_steps >= len(schedule) - 1  # at most the first solve is cold
 
-    def test_randomized_fault_sequences_match_cold(self, torus_4x4_boards):
-        topo = torus_4x4_boards
-        flows = random_permutation(topo.num_accelerators, seed=9)
+    @staticmethod
+    def _torus_random_links(topo):
         rng = np.random.default_rng(5)
         candidates = fault_candidate_links(topo, seed=7)
-        solver = FaultEventSolver(topo, flows, max_paths=4)
         cumulative = FaultSet.empty()
         for _ in range(4):
             pick = [int(candidates[i]) for i in rng.choice(len(candidates), 2, replace=False)]
             cumulative = cumulative.union(FaultSet.from_links(topo, pick))
-            rep = solver.apply(cumulative)
-            cold = self._cold_rates(topo, flows, cumulative)
-            assert np.allclose(np.sort(rep.connected_rates), np.sort(cold), atol=1e-9)
+            yield cumulative
+
+    @staticmethod
+    def _hx2mesh_board_fail_repair(topo):
+        first = FaultSet.from_boards(topo, [(1, 2)])
+        both = first.union(FaultSet.from_boards(topo, [(3, 0)]))
+        yield from (first, both, both.difference(first), FaultSet.empty())
+
+    @pytest.mark.parametrize(
+        "family, sequence",
+        [
+            ("torus_4x4_boards", "_torus_random_links"),
+            ("hx2mesh_4x4", "_hx2mesh_board_fail_repair"),
+        ],
+        ids=["torus-links", "hx2mesh-boards"],
+    )
+    def test_randomized_fault_sequences_match_cold(
+        self, request, monkeypatch, family, sequence
+    ):
+        topo = request.getfixturevalue(family)
+        flows = random_permutation(topo.num_accelerators, seed=9)
+        # Count structured enumerations per (pair, width) over the replay:
+        # degraded tables read the fault-free minimal table instead of
+        # re-enumerating, so no (pair, width) is enumerated twice.
+        clear_route_tables()
+        enumerated = Counter()
+        plain = HxMeshRouter.paths
+
+        def counting(router, src, dst, max_paths=4):
+            enumerated[(src, dst, max_paths)] += 1
+            return plain(router, src, dst, max_paths)
+
+        monkeypatch.setattr(HxMeshRouter, "paths", counting)
+        solver = FaultEventSolver(topo, flows, max_paths=4)
+        steps = [(fs, solver.apply(fs)) for fs in getattr(self, sequence)(topo)]
+        if topo.meta.get("family") == "hammingmesh":
+            assert enumerated and max(enumerated.values()) == 1
+        clear_route_tables()
+        for fs, rep in steps:
+            cold = self._cold_rates(topo, flows, fs)
+            if sequence == "_hx2mesh_board_fail_repair":
+                assert rep.disconnected or fs.is_empty
+                assert np.array_equal(rep.connected_rates, cold)
+            else:
+                assert np.allclose(np.sort(rep.connected_rates), np.sort(cold), atol=1e-9)
+
+    def test_apply_counts_disconnected_pairs(self, hx2mesh_4x4):
+        topo = hx2mesh_4x4
+        flows = random_permutation(topo.num_accelerators, seed=4)
+        solver = FaultEventSolver(topo, flows, max_paths=4)
+        counter = obs_registry.counter("faults.pairs_disconnected")
+        before = counter.value
+        rep = solver.apply(FaultSet.from_boards(topo, [(1, 2)]))
+        assert rep.disconnected
+        assert counter.value - before == len(rep.disconnected)
 
     def test_repair_resolves_cold_and_exact(self, hx2mesh_4x4):
         topo = hx2mesh_4x4
