@@ -1,15 +1,16 @@
-"""Scale-out simulation path: memory-budgeted routing + batched max-min.
+"""Scale-out simulation path: sparse route tables + batched max-min.
 
 The large-N contract of the simulator substrate, asserted and recorded in
 ``BENCH_scaleout.json``:
 
-* **Memory budget**: a 4,096-accelerator ``Hx2Mesh(2,2,32,32)`` permutation
-  sweep runs end-to-end through the experiment engine (the registered
-  ``scaleout_permutation`` sweep) with the route table under a hard byte
-  budget — the sharded table's resident bytes stay at or below the budget
-  and the whole run's peak RSS stays below a hard process cap.  The
-  committed artifact carries the dense-pair-index projection next to the
-  measured resident bytes as the before/after evidence.
+* **Bounded route tables**: a 4,096-accelerator ``Hx2Mesh(2,2,32,32)``
+  permutation sweep runs end-to-end through the experiment engine (the
+  registered ``scaleout_permutation`` sweep) and every live route table
+  together stays under a hard byte bound that the dense ``n**2`` pair
+  index would exceed, while the whole run's peak RSS stays below a hard
+  process cap.  The committed artifact carries the dense-pair-index
+  projection next to the measured route-table bytes as the before/after
+  evidence.
 * **Batched solver**: stacking a fig12-style permutation sweep into one
   :meth:`~repro.sim.flowsim.FlowSimulator.maxmin_rates_batch` call is at
   least 2x faster than per-scenario solves, with bit-identical rates.
@@ -25,8 +26,8 @@ The large-N contract of the simulator substrate, asserted and recorded in
   link-space water-fill than with the dense O(L) path, bit-identically
   (``REPRO_SPARSE_LINKS=0`` pins the dense reference).
 * **Headline scale**: the 16,384-accelerator ``Hx2Mesh(2,2,64,64)`` sweep
-  (whose dense pair index alone would need ~7.7 GB) runs under a 4 GB
-  route-table budget.  It costs tens of seconds, so it only re-runs when
+  (whose dense pair index alone would need ~7.7 GB) keeps its route tables
+  under 4 GiB.  It costs tens of seconds, so it only re-runs when
   ``REPRO_BENCH_SCALEOUT_FULL=1`` is set (the baseline-regeneration mode);
   ordinary perf-smoke runs carry the committed baseline's headline
   evidence forward unchanged.
@@ -48,21 +49,22 @@ import repro.obs as obs
 from repro.exp import Runner, Scenario, run_sweep
 from repro.exp.cells import flowsim_batch_cell
 from repro.exp.scenario import kernel_ref
-from repro.sim import clear_route_tables, live_route_tables, parse_mem_budget
+from repro.sim import clear_route_tables, live_route_tables
 from repro.sim.traffic import Flow
 
 from _bench_utils import bench_runner, committed_artifact, run_once
 
-#: CI-scale budgeted sweep: 4,096 accelerators under a deliberately tight
-#: route-table budget (the eager pair index would take ~429 MB).
+#: CI-scale bounded sweep: 4,096 accelerators whose live route tables must
+#: stay under a deliberately tight bound (the dense pair index alone would
+#: take ~428 MB).
 CI_TOPO = dict(a=2, b=2, x=32, y=32)
-CI_BUDGET = "256M"
-#: Hard cap on the whole process' peak RSS during the budgeted sweep.
+CI_TABLE_BOUND = 256 << 20
+#: Hard cap on the whole process' peak RSS during the bounded sweep.
 CI_RSS_CAP = 2 << 30
 #: Headline scale (run with REPRO_BENCH_SCALEOUT_FULL=1): 16,384
-#: accelerators under the 4 GB budget of the acceptance criterion.
+#: accelerators whose route tables must stay under 4 GiB.
 FULL_TOPO = dict(a=2, b=2, x=64, y=64)
-FULL_BUDGET = "4G"
+FULL_TABLE_BOUND = 4 << 30
 #: Zero-copy parallel contract: workers in a seeded warm pool must keep
 #: their private route-table bytes below this fraction of the shared
 #: footprint (an unseeded worker rebuilds its share of the table).
@@ -82,29 +84,24 @@ def _eager_pair_index_bytes(a: int, b: int, x: int, y: int) -> int:
     return 3 * 8 * n * n
 
 
-def _budgeted_sweep(topo: dict, budget: str, num_permutations: int) -> dict:
-    """Run the registered scale-out sweep under ``budget``; gather evidence."""
+def _bounded_sweep(topo: dict, bound: int, num_permutations: int) -> dict:
+    """Run the registered scale-out sweep; gather route-table evidence."""
     clear_route_tables()
     # In-process on purpose (not bench_runner): the route table the sweep
     # builds must stay inspectable via live_route_tables() afterwards.
     run = run_sweep(
         "scaleout_permutation",
         runner=Runner(workers=1, cache=False),
-        mem_budget=budget,
         num_permutations=num_permutations,
         **topo,
     )
     stats = run.report.stats()
-    tables = [t for t in live_route_tables() if t.is_sharded]
-    resident = max((t.estimated_csr_bytes() for t in tables), default=0)
     evidence = {
         "topology": dict(topo),
         "accelerators": topo["a"] * topo["b"] * topo["x"] * topo["y"],
-        "mem_budget": budget,
-        "mem_budget_bytes": parse_mem_budget(budget),
+        "route_table_bound_bytes": bound,
         "eager_pair_index_bytes": _eager_pair_index_bytes(**topo),
-        "sharded": bool(tables),
-        "resident_bytes": int(resident),
+        "route_table_bytes": sum(t.estimated_csr_bytes() for t in live_route_tables()),
         "peak_rss_bytes": stats["peak_rss_bytes"],
         "wall_seconds": stats["wall_seconds"],
         "num_permutations": num_permutations,
@@ -113,6 +110,18 @@ def _budgeted_sweep(topo: dict, budget: str, num_permutations: int) -> dict:
     }
     clear_route_tables()
     return evidence
+
+
+def _assert_bounded(evidence: dict) -> None:
+    """Live route tables fit the bound that the dense index would break."""
+    bound = evidence["route_table_bound_bytes"]
+    assert evidence["eager_pair_index_bytes"] > bound, (
+        "the bound must be infeasible for a dense n**2 pair index"
+    )
+    assert 0 < evidence["route_table_bytes"] <= bound, (
+        f"route tables hold {evidence['route_table_bytes']} bytes, above the "
+        f"{bound}-byte bound"
+    )
 
 
 def _run_cell(kernel, **params):
@@ -132,23 +141,22 @@ def _worker_memory(report) -> dict:
     }
 
 
-def _parallel_sweep(topo: dict, budget: str, num_permutations: int, workers: int) -> dict:
+def _parallel_sweep(topo: dict, num_permutations: int, workers: int) -> dict:
     """Cold serial build -> seeded warm pool -> unseeded rebuild; evidence.
 
-    The cold pass builds the sharded route table in-process; the warm pass
+    The cold pass builds the route table in-process; the warm pass
     re-runs the same grid on a persistent pool whose initializer seeds
     every worker with the table's shared-memory handle (workers attach
     zero-copy); the rebuild pass runs once more on an unseeded pool as the
     per-worker-memory "before".  All three payloads must agree
     bit-for-bit.
     """
-    params = dict(mem_budget=budget, num_permutations=num_permutations, **topo)
+    params = dict(num_permutations=num_permutations, **topo)
     clear_route_tables()
     cold = run_sweep(
         "scaleout_permutation", runner=Runner(workers=1, cache=False), **params
     )
-    tables = [t for t in live_route_tables() if t.is_sharded]
-    footprint = max((t.estimated_csr_bytes() for t in tables), default=0)
+    footprint = max((t.estimated_csr_bytes() for t in live_route_tables()), default=0)
     with Runner(workers=workers, cache=False) as runner:
         warm = run_sweep("scaleout_permutation", runner=runner, **params)
         shared_bytes = obs.snapshot()["gauges"].get("routing.shm_bytes", 0)
@@ -181,7 +189,7 @@ def _slab_permutation(base: int, slab: int, seed: int) -> list:
 
 
 def _sparse_vs_dense(
-    topo: dict, budget: str, *, slab: int = SPARSE_SLAB, scenarios: int = 8, rounds: int = 3
+    topo: dict, *, slab: int = SPARSE_SLAB, scenarios: int = 8, rounds: int = 3
 ) -> dict:
     """Job-local permutations on the full fabric: compacted vs dense solves.
 
@@ -201,7 +209,7 @@ def _sparse_vs_dense(
     flow_sets = [
         _slab_permutation((s % (p // slab)) * slab, slab, s) for s in range(scenarios)
     ]
-    sim = FlowSimulator(fabric, max_paths=8, mem_budget=budget)
+    sim = FlowSimulator(fabric, max_paths=8)
 
     def timed(fn, flag):
         prev = os.environ.get("REPRO_SPARSE_LINKS")
@@ -263,12 +271,12 @@ def _sparse_vs_dense(
 
 @pytest.mark.benchmark(group="scaleout")
 def test_scaleout_path(benchmark):
-    """Budget + batch + headline contracts, recorded as one artifact."""
+    """Table bound + batch + headline contracts, recorded as one artifact."""
     # Read the committed baseline before run_once regenerates the artifact.
     baseline = committed_artifact("scaleout")
 
     def run():
-        budgeted = _budgeted_sweep(CI_TOPO, CI_BUDGET, num_permutations=4)
+        bounded = _bounded_sweep(CI_TOPO, CI_TABLE_BOUND, num_permutations=4)
         serial = _run_cell(flowsim_batch_cell, impl="serial")
         batched = _run_cell(flowsim_batch_cell, impl="batched")
         batch = {
@@ -276,17 +284,15 @@ def test_scaleout_path(benchmark):
             "after": batched,
             "speedup": serial["seconds"] / batched["seconds"],
         }
-        parallel = _parallel_sweep(
-            CI_TOPO, CI_BUDGET, num_permutations=4, workers=PARALLEL_WORKERS
-        )
-        sparse = _sparse_vs_dense(CI_TOPO, CI_BUDGET)
+        parallel = _parallel_sweep(CI_TOPO, num_permutations=4, workers=PARALLEL_WORKERS)
+        sparse = _sparse_vs_dense(CI_TOPO)
         headline = None
         if os.environ.get("REPRO_BENCH_SCALEOUT_FULL"):
-            headline = _budgeted_sweep(FULL_TOPO, FULL_BUDGET, num_permutations=2)
+            headline = _bounded_sweep(FULL_TOPO, FULL_TABLE_BOUND, num_permutations=2)
         elif baseline and isinstance(baseline.get("result"), dict):
             headline = baseline["result"].get("headline")
         return {
-            "budgeted": budgeted,
+            "bounded": bounded,
             "batch": batch,
             "parallel": parallel,
             "sparse": sparse,
@@ -294,14 +300,14 @@ def test_scaleout_path(benchmark):
         }
 
     data = run_once(benchmark, run, record="scaleout")
-    budgeted, batch = data["budgeted"], data["batch"]
+    bounded, batch = data["bounded"], data["batch"]
     parallel, sparse = data["parallel"], data["sparse"]
     print(
-        f"\nbudgeted sweep ({budgeted['accelerators']} accels @ {CI_BUDGET}): "
-        f"resident {budgeted['resident_bytes'] / 1e6:.1f} MB "
-        f"(eager projection {budgeted['eager_pair_index_bytes'] / 1e6:.0f} MB), "
-        f"peak RSS {budgeted['peak_rss_bytes'] / 1e6:.0f} MB, "
-        f"{budgeted['wall_seconds']:.1f}s"
+        f"\nbounded sweep ({bounded['accelerators']} accels): "
+        f"route tables {bounded['route_table_bytes'] / 1e6:.1f} MB "
+        f"(eager projection {bounded['eager_pair_index_bytes'] / 1e6:.0f} MB), "
+        f"peak RSS {bounded['peak_rss_bytes'] / 1e6:.0f} MB, "
+        f"{bounded['wall_seconds']:.1f}s"
     )
     print(
         f"batched max-min: serial {batch['before']['seconds'] * 1e3:.0f} ms, "
@@ -325,18 +331,14 @@ def test_scaleout_path(benchmark):
         f"bit-identical={sparse['bit_identical']}"
     )
 
-    # -- memory-budget contract ------------------------------------------
-    assert budgeted["sharded"], "budget below the eager footprint must shard"
-    assert budgeted["resident_bytes"] <= budgeted["mem_budget_bytes"], (
-        f"resident {budgeted['resident_bytes']} exceeds the "
-        f"{budgeted['mem_budget_bytes']}-byte budget"
-    )
-    assert budgeted["peak_rss_bytes"] is not None
-    assert budgeted["peak_rss_bytes"] < CI_RSS_CAP, (
-        f"peak RSS {budgeted['peak_rss_bytes'] / 1e9:.2f} GB breached the "
+    # -- route-table bound contract ----------------------------------------
+    _assert_bounded(bounded)
+    assert bounded["peak_rss_bytes"] is not None
+    assert bounded["peak_rss_bytes"] < CI_RSS_CAP, (
+        f"peak RSS {bounded['peak_rss_bytes'] / 1e9:.2f} GB breached the "
         f"{CI_RSS_CAP / 1e9:.0f} GB cap"
     )
-    assert 0.0 < budgeted["min_fraction"] <= budgeted["mean_fraction"] <= 1.0
+    assert 0.0 < bounded["min_fraction"] <= bounded["mean_fraction"] <= 1.0
 
     # -- batched-solver contract -----------------------------------------
     # The batch solver is bit-identical to the serial one, so the means
@@ -378,16 +380,13 @@ def test_scaleout_path(benchmark):
     # -- headline evidence ------------------------------------------------
     headline = data["headline"]
     if headline is not None:
-        assert headline["sharded"]
-        assert headline["resident_bytes"] <= headline["mem_budget_bytes"]
-        assert headline["eager_pair_index_bytes"] > headline["mem_budget_bytes"], (
-            "headline config must be infeasible without the budget"
-        )
+        assert headline["route_table_bound_bytes"] == FULL_TABLE_BOUND
+        _assert_bounded(headline)
 
     if baseline and isinstance(baseline.get("result"), dict):
-        committed = baseline["result"].get("budgeted", {}).get("wall_seconds")
+        committed = baseline["result"].get("bounded", {}).get("wall_seconds")
         if committed:
-            assert budgeted["wall_seconds"] <= committed * 2.0, (
-                f"budgeted sweep took {budgeted['wall_seconds']:.1f}s, more "
+            assert bounded["wall_seconds"] <= committed * 2.0, (
+                f"bounded sweep took {bounded['wall_seconds']:.1f}s, more "
                 f"than 2x the committed baseline {committed:.1f}s"
             )

@@ -1,24 +1,20 @@
-"""Scale-out permutation sweep: large HammingMeshes under a memory budget.
+"""Scale-out permutation sweep: large HammingMeshes, one batched solve each.
 
 The figure sweeps in :mod:`repro.analysis.figures` stop at fig12-scale
-clusters (a few thousand endpoints) where dense route tables fit in memory
-comfortably.  This module registers the ``scaleout_permutation`` sweep for
-the large-N regime — e.g. an ``Hx2Mesh(2,2,64,64)`` with 16,384
-accelerators, whose dense pair index alone would need ~7.7 GB — by
-combining the two scale-out mechanisms of :mod:`repro.sim`:
+clusters (a few thousand endpoints).  This module registers the
+``scaleout_permutation`` sweep for the large-N regime — e.g. an
+``Hx2Mesh(2,2,64,64)`` with 16,384 accelerators, whose route table stays
+at tens of megabytes because its pair index is sparse (a dense ``n**2``
+index alone would need ~7.7 GB; see ``DESIGN.md``).
 
-* every cell routes under a **route-table memory budget** (sharded CSR
-  storage with LRU eviction and disk spill; see ``DESIGN.md``), and
-* the cells of one topology share a chunk, so the runner hands them to the
-  cell's batch companion and the permutations of a chunk are solved in one
-  vectorized :meth:`~repro.sim.flowsim.FlowSimulator.maxmin_rates_batch`
-  call.  A multi-worker runner splits oversized chunks into contiguous
-  slices (each slice batch-solves on its worker, seeded with the parent's
-  shared-memory route table), so one topology still fans out across the
-  pool.
-
-Both mechanisms are bit-identical to the plain path, so this sweep's
-numbers agree exactly with an unbudgeted, per-cell run of the same grid.
+The cells of one topology share a chunk, so the runner hands them to the
+cell's batch companion and the permutations of a chunk are solved in one
+vectorized :meth:`~repro.sim.flowsim.FlowSimulator.maxmin_rates_batch`
+call.  A multi-worker runner splits oversized chunks into contiguous
+slices (each slice batch-solves on its worker, seeded with the parent's
+shared-memory route table), so one topology still fans out across the
+pool.  Batching is bit-identical to the plain path, so this sweep's
+numbers agree exactly with a per-cell run of the same grid.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ def scaleout_grid(
     num_permutations: int = 4,
     max_paths: int = 8,
     policy: str = "minimal",
-    mem_budget: Any = "4G",
     seed: int = 0,
 ) -> Grid:
     """Permutation sweep on one ``a x b`` boards of ``x x y`` HammingMesh.
@@ -61,7 +56,6 @@ def scaleout_grid(
             "y": y,
             "max_paths": max_paths,
             "policy": policy,
-            "mem_budget": mem_budget,
         },
         chunk=lambda p: f"hx_{p['a']}x{p['b']}x{p['x']}x{p['y']}",
     )
@@ -85,6 +79,6 @@ register_sweep(
     "scaleout_permutation",
     build=scaleout_grid,
     post=_scaleout_post,
-    description="Large-N HammingMesh permutation sweep under a route-table memory budget",
+    description="Large-N HammingMesh permutation sweep, batch-solved per topology",
     artifact="scaleout_permutation",
 )

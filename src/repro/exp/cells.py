@@ -464,7 +464,6 @@ _MAXMIN_PERM_DEFAULTS = {
     "seed": 0,
     "max_paths": 8,
     "policy": "minimal",
-    "mem_budget": None,
 }
 
 
@@ -500,15 +499,12 @@ def maxmin_permutation_cell(
     seed: int = 0,
     max_paths: int = 8,
     policy: str = "minimal",
-    mem_budget=None,
 ) -> dict:
     """Receive-bandwidth summary of one random permutation on an HxaMesh.
 
     The scale-out sweep cell: builds an ``a x b`` boards of ``x x y``
-    HammingMesh, routes under an optional route-table ``mem_budget``
-    (bytes, or ``"4G"``-style strings; see
-    :func:`repro.sim.routing.parse_mem_budget`), and solves one seeded
-    permutation with the incremental max-min solver.  Declares
+    HammingMesh and solves one seeded permutation with the incremental
+    max-min solver.  Declares
     :func:`maxmin_permutation_batch` as its batch companion, so a chunk of
     same-topology cells is solved in one vectorized
     :meth:`~repro.sim.flowsim.FlowSimulator.maxmin_rates_batch` call —
@@ -519,7 +515,7 @@ def maxmin_permutation_cell(
     from ..sim import FlowSimulator, random_permutation
 
     topo = build_hammingmesh(a, b, x, y)
-    sim = FlowSimulator(topo, max_paths=max_paths, policy=policy, mem_budget=mem_budget)
+    sim = FlowSimulator(topo, max_paths=max_paths, policy=policy)
     flows = random_permutation(topo.num_accelerators, seed=seed)
     result = sim.maxmin_rates(flows)
     return _permutation_summary(sim, flows, result)
@@ -540,12 +536,12 @@ def maxmin_permutation_batch(param_list) -> list:
     filled = [{**_MAXMIN_PERM_DEFAULTS, **p} for p in param_list]
     groups: dict = {}
     for i, p in enumerate(filled):
-        key = (p["a"], p["b"], p["x"], p["y"], p["max_paths"], p["policy"], p["mem_budget"])
+        key = (p["a"], p["b"], p["x"], p["y"], p["max_paths"], p["policy"])
         groups.setdefault(key, []).append(i)
     out: list = [None] * len(filled)
-    for (a, b, x, y, max_paths, policy, mem_budget), members in groups.items():
+    for (a, b, x, y, max_paths, policy), members in groups.items():
         topo = build_hammingmesh(a, b, x, y)
-        sim = FlowSimulator(topo, max_paths=max_paths, policy=policy, mem_budget=mem_budget)
+        sim = FlowSimulator(topo, max_paths=max_paths, policy=policy)
         flow_sets = [
             random_permutation(topo.num_accelerators, seed=filled[i]["seed"])
             for i in members

@@ -199,9 +199,6 @@ _DEFAULT_SCHEMA: Tuple[Tuple[str, str], ...] = (
     ("counter", "routing.tables_built"),
     ("counter", "routing.tables_attached"),
     ("gauge", "routing.csr_mem_bytes"),
-    ("counter", "routing.shards_built"),
-    ("counter", "routing.shards_evicted"),
-    ("gauge", "routing.spill_bytes"),
     ("gauge", "routing.shm_segments"),
     ("gauge", "routing.shm_bytes"),
     ("counter", "flowsim.maxmin_solves"),

@@ -292,7 +292,6 @@ class FlowBackend(NetworkModel):
         sim: Optional[FlowSimulator] = None,
         table: Optional[RouteTable] = None,
         policy: Union[str, RoutingPolicy, None] = None,
-        mem_budget: Union[str, int, float, None] = None,
         faults: Optional[FaultSet] = None,
     ):
         if faults is not None and not faults.is_empty:
@@ -308,10 +307,7 @@ class FlowBackend(NetworkModel):
         if sim is None:
             if topo is None:
                 raise ValueError("FlowBackend needs a topology or a simulator")
-            sim = FlowSimulator(
-                topo, max_paths=max_paths, table=table, policy=policy,
-                mem_budget=mem_budget,
-            )
+            sim = FlowSimulator(topo, max_paths=max_paths, table=table, policy=policy)
         elif policy is not None and get_policy(policy).cache_key() != sim.policy.cache_key():
             raise ValueError(
                 f"policy {get_policy(policy).name!r} conflicts with the "

@@ -89,25 +89,9 @@ _SPARSE_BATCH_MAX_DENSITY = 0.5
 #: Collective schedules and the alltoall aggregate re-assign identical flow
 #: sets (same endpoints and demands) many times; 64 patterns comfortably
 #: cover the phase structure of every schedule in the repository.  Override
-#: per simulator with the ``assign_cache`` constructor argument or process
-#: wide with ``REPRO_ASSIGN_CACHE`` (0 disables the cache).
+#: per simulator with the ``assign_cache`` constructor argument (0 disables
+#: the cache).
 _ASSIGNMENT_CACHE_SIZE = 64
-
-
-def _default_assignment_cache() -> int:
-    """The assignment-LRU capacity from ``REPRO_ASSIGN_CACHE`` (or default)."""
-    raw = os.environ.get("REPRO_ASSIGN_CACHE")
-    if raw is None or not raw.strip():
-        return _ASSIGNMENT_CACHE_SIZE
-    try:
-        size = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_ASSIGN_CACHE must be an integer, got {raw!r}"
-        ) from None
-    if size < 0:
-        raise ValueError(f"REPRO_ASSIGN_CACHE must be >= 0, got {size}")
-    return size
 
 
 @dataclass
@@ -463,10 +447,7 @@ class FlowSimulator:
     route through a custom provider (which gets a private table), or
     ``policy`` to select a routing policy by name or instance
     (:mod:`repro.sim.policy`; the default reproduces minimal multipath
-    routing bit-identically).  ``mem_budget`` (bytes or a ``"4G"``-style
-    string; default: ``REPRO_ROUTE_MEM_BUDGET``) bounds the route table's
-    resident memory — large topologies switch to sharded route storage,
-    with identical results (see :mod:`repro.sim.routing`).
+    routing bit-identically).
     """
 
     def __init__(
@@ -477,7 +458,6 @@ class FlowSimulator:
         max_paths: int = DEFAULT_MAX_PATHS,
         table: Optional[RouteTable] = None,
         policy: Union[str, RoutingPolicy, None] = None,
-        mem_budget: Union[str, int, float, None] = None,
         assign_cache: Optional[int] = None,
     ):
         self.topo = topo
@@ -489,10 +469,6 @@ class FlowSimulator:
             self.table = table
         elif provider is not None:
             self.table = RouteTable(topo, max_paths=max_paths, provider=provider, policy=policy)
-        elif mem_budget is not None:
-            self.table = route_table_for(
-                topo, max_paths=max_paths, policy=policy, mem_budget=mem_budget
-            )
         else:
             self.table = route_table_for(topo, max_paths=max_paths, policy=policy)
         self.provider = self.table.provider
@@ -502,12 +478,9 @@ class FlowSimulator:
         self.ranks = list(topo.accelerators)
         self._rank_nodes = np.asarray(self.ranks, dtype=np.int64)
         self.injection_capacity = float(topo.meta.get("injection_capacity", 4.0))
-        if assign_cache is None:
-            self.assign_cache = _default_assignment_cache()
-        else:
-            self.assign_cache = int(assign_cache)
-            if self.assign_cache < 0:
-                raise ValueError(f"assign_cache must be >= 0, got {assign_cache}")
+        self.assign_cache = _ASSIGNMENT_CACHE_SIZE if assign_cache is None else int(assign_cache)
+        if self.assign_cache < 0:
+            raise ValueError(f"assign_cache must be >= 0, got {assign_cache}")
         self._assignments: "OrderedDict[Tuple, FlowAssignment]" = OrderedDict()
         register_route_cache_client(self)
 

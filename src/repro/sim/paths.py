@@ -22,7 +22,6 @@ underlying :class:`~repro.topology.base.Topology`.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
@@ -256,14 +255,13 @@ class GenericPathProvider:
 
     #: default cap on cached per-destination distance rows (each row is
     #: O(num_nodes), so an unbounded cache is an all-pairs memory hazard at
-    #: scale); override per instance or via ``REPRO_PATHS_DIST_CACHE``
+    #: scale); override per instance with ``dist_cache_entries``
     DEFAULT_DIST_CACHE_ENTRIES = 1024
 
     def __init__(self, topo: Topology, *, dist_cache_entries: Optional[int] = None):
         self.topo = topo
         if dist_cache_entries is None:
-            env = os.environ.get("REPRO_PATHS_DIST_CACHE", "").strip()
-            dist_cache_entries = int(env) if env else self.DEFAULT_DIST_CACHE_ENTRIES
+            dist_cache_entries = self.DEFAULT_DIST_CACHE_ENTRIES
         self._reach = SurvivorReach(topo, cache_entries=dist_cache_entries)
 
     def _distances_to(self, dst: int) -> np.ndarray:

@@ -21,64 +21,60 @@ lifetime simulator's service-time model) threw that work away.  A
 * tables are **memoized per ``(topology, policy, max_paths)``** — every
   simulator (and every backend, see :mod:`repro.sim.backend`) asking for the
   same topology at the same policy and multipath width shares one table, so
-  route state survives across simulator instances.  The memo holds the
-  topology weakly; dropping the topology frees its tables.
+  route state survives across simulator instances.
 
 ``RouteTable.stats`` counts pair-level hits/misses, which the test suite
 uses to assert cache reuse across simulator instances.
 
-**Scale-out storage.**  The historical (eager) layout preallocates three
-``O(num_nodes**2)`` pair-index arrays, which is what made 10k+ endpoint
-topologies unbuildable (a 16,384-endpoint Hx2Mesh needs ~7.7 GB of index
-alone).  Under a **memory budget** (``RouteTable(mem_budget=...)`` or the
-``REPRO_ROUTE_MEM_BUDGET`` environment variable, e.g. ``"4G"``) a table
-whose dense index would not fit switches to **sharded** storage: routes are
-kept in per-source-block shards (dict index + block-local CSR arrays),
-built lazily on first contact, LRU-evicted when the resident bytes exceed
-the budget, and optionally spilled to disk (``spill=True``, the default in
-sharded mode) so evicted shards reload instead of re-enumerating.  Both
-layouts produce **bit-identical** routes and gather results — the policy's
-route enumeration is a pure function of the pair — and the eager build
-remains the fast path whenever it fits.
+**Sparse pair index.**  A table's memory follows the pairs it has routed,
+not the square of the node count: the pair index is a sorted array of
+int64 keys ``src * num_nodes + dst`` with parallel arrays of first path id,
+path count and minimal count (the counts in the narrowest integer dtype
+that holds ``max_paths``).  A newly routed pair waits in a small dict;
+once it holds 64 pairs, the next miss merges them into the sorted arrays
+with one insert, so a miss never shifts the arrays by itself.  A
+vectorized query answers every merged pair with one ``searchsorted`` and
+looks the rest up in that dict one by one; a scalar query probes the
+dict, then binary-searches the sorted keys (about a microsecond), and
+:meth:`RouteTable.pair_path_lists` answers a repeat call from its memo
+with one dict probe.
+A 16,384-endpoint Hx2Mesh permutation sweep, whose dense ``n**2`` index
+would take 7.7 GB, routes in tens of megabytes.
 
 :func:`clear_route_tables` drops the memo **and** clears every derived
 route cache registered via :func:`register_route_cache_client` (the flow
 simulator's :class:`FlowAssignment` LRUs, the tables' materialized
-``pair_path_lists``, the packet simulator's per-pair scoring state, and
-sharded tables' resident shards, spill files, and budget accounting), so a
-full reset can never serve stale routes out of a derived cache or leave
-spill files behind.
+``pair_path_lists`` and the packet simulator's per-pair scoring state), so
+a full reset can never serve stale routes out of a derived cache.
 
-**Zero-copy sharing across processes.**  A built table exports its CSR
-arrays into one ``multiprocessing.shared_memory`` segment with
+**Zero-copy sharing across processes.**  A built table exports its index
+and CSR arrays into one ``multiprocessing.shared_memory`` segment with
 :meth:`RouteTable.share`, which returns a picklable
 :class:`SharedRouteHandle`; :meth:`RouteTable.attach` maps the same bytes
 in another process — read-only, zero-copy, bit-identical query results for
 every pair the snapshot contains (misses re-enumerate deterministically
-into process-private memory, never writing the segment).  The experiment
+into process-private copies, never writing the segment).  The experiment
 runner seeds its worker pool with the parent's handles
 (:func:`seed_shared_route_tables`), and :func:`route_table_for` attaches a
 matching seed instead of rebuilding — the topology objects differ by
 identity across processes, so seeds are matched by structural signature
 ``(name, nodes, links, accelerators, total capacity)`` plus
-``(policy, max_paths, budget)``.  Segment lifetime follows the owning
-table: a weakref finalizer closes and (owner-side only) unlinks the
-segment when the table is garbage collected — so :func:`clear_route_tables`
-releases segments with the tables it drops — and an ``atexit`` sweep
-catches tables still alive at interpreter exit.  Attached processes
-deregister the segment from their ``resource_tracker`` so a dying worker
-can never unlink a segment the parent still serves.
+``(policy, max_paths)``.  Segment lifetime follows the owning table: a
+weakref finalizer closes and (owner-side only) unlinks the segment when
+the table is garbage collected — so :func:`clear_route_tables` releases
+segments with the tables it drops — and an ``atexit`` sweep catches tables
+still alive at interpreter exit.  Attached processes deregister the
+segment from their ``resource_tracker`` so a dying worker can never unlink
+a segment the parent still serves.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-import shutil
-import tempfile
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -86,7 +82,7 @@ import numpy as np
 from ..obs import registry as _obs
 from ..topology.base import Topology, TopologyError
 from .paths import DEFAULT_MAX_PATHS, PathProvider, path_provider_for
-from .policy import RoutingPolicy, get_policy
+from .policy import RouteSet, RoutingPolicy, get_policy
 
 __all__ = [
     "RouteTable",
@@ -100,66 +96,22 @@ __all__ = [
     "seed_shared_route_tables",
     "clear_shared_route_seeds",
     "csr_range_indices",
-    "parse_mem_budget",
-    "default_mem_budget",
-    "DEFAULT_SHARD_SOURCES",
 ]
 
-_GROW = 4  # geometric growth factor exponent base for the flat arrays
+_GROW = 4  # geometric growth factor of the flat CSR arrays
 
-#: source nodes per shard in sharded storage mode
-DEFAULT_SHARD_SOURCES = 64
+#: pairs routed since the last merge into the sorted index; bounds the
+#: pending dict, at one ``np.insert`` per this many misses
+_PENDING_MAX = 64
 
-#: global path id = shard_index * stride + shard-local path id; pairs own a
-#: contiguous local id range, so the contiguity invariant the flow
-#: simulator's gathers rely on survives the encoding.
-_SHARD_STRIDE = 1 << 40
+#: key of the sentinel row that ends the sorted index: above every pair key
+#: (``src * num_nodes + dst < num_nodes**2``), so a ``searchsorted`` row is
+#: always a valid index and the index is never empty
+_SENTINEL_KEY = np.iinfo(np.int64).max
 
-_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
-
-
-def parse_mem_budget(value: Union[str, int, float, None]) -> Optional[int]:
-    """Parse a memory budget: bytes, or a string like ``"4G"`` / ``"512m"``.
-
-    Suffixes are case-insensitive (``"4G"``, ``"4g"``, ``"256m"``, with an
-    optional trailing ``b``/``B``).  ``None`` and ``""`` mean *no budget*
-    (eager storage always); zero or negative budgets raise ``ValueError``
-    rather than silently disabling the shard budget.
-    """
-    if value is None:
-        return None
-    if isinstance(value, (int, float)):
-        budget = int(value)
-        if budget <= 0:
-            raise ValueError(
-                f"memory budget must be positive, got {value!r} "
-                "(use None for no budget)"
-            )
-        return budget
-    text = value.strip().lower()
-    if not text:
-        return None
-    scale = 1
-    if text[-1] == "b":
-        text = text[:-1]
-    if text and text[-1] in _SUFFIXES:
-        scale = _SUFFIXES[text[-1]]
-        text = text[:-1]
-    try:
-        budget = int(float(text) * scale)
-    except ValueError:
-        raise ValueError(f"unparseable memory budget {value!r}") from None
-    if budget <= 0:
-        raise ValueError(
-            f"memory budget must be positive, got {value!r} "
-            "(use an empty string or None for no budget)"
-        )
-    return budget
-
-
-def default_mem_budget() -> Optional[int]:
-    """The process-wide route-table budget from ``REPRO_ROUTE_MEM_BUDGET``."""
-    return parse_mem_budget(os.environ.get("REPRO_ROUTE_MEM_BUDGET"))
+#: measured cost of one pending dict entry (key int, 3-tuple, hash-table
+#: slot), counted by :meth:`RouteTable.estimated_csr_bytes`
+_PENDING_ENTRY_BYTES = 170
 
 
 def _release_csr_bytes(reported: List[int]) -> None:
@@ -167,37 +119,25 @@ def _release_csr_bytes(reported: List[int]) -> None:
     _obs.gauge("routing.csr_mem_bytes").add(-reported[0])
 
 
-def _cleanup_spill(spill_state: Dict[str, object]) -> None:
-    """Finalizer: remove a dead table's spill files (and owned directory)."""
-    files = spill_state.get("files", {})
-    bytes_spilled = 0
-    for path, nbytes in list(files.values()):  # type: ignore[union-attr]
-        bytes_spilled += nbytes
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-    files.clear()  # type: ignore[union-attr]
-    if bytes_spilled:
-        _obs.gauge("routing.spill_bytes").add(-bytes_spilled)
-    owned = spill_state.get("owned_dir")
-    if owned:
-        shutil.rmtree(owned, ignore_errors=True)
-        spill_state["owned_dir"] = None
+def _count_dtype(max_paths: int) -> np.dtype:
+    """Narrowest signed integer dtype holding path counts up to ``max_paths``."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if max_paths <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
-def _scatter_targets(target_starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(t, t + l)`` for parallel starts/lengths arrays."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    out_starts = ends - lengths
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(out_starts, lengths)
-        + np.repeat(target_starts, lengths)
-    )
+def _reserve(arr: np.ndarray, need: int) -> np.ndarray:
+    """``arr`` if it is writable and holds ``need`` items, else a grown copy.
+
+    Read-only arrays (views into an attached shared segment) are always
+    copied, so appending never writes shared memory.
+    """
+    if need <= len(arr) and arr.flags.writeable:
+        return arr
+    grown = np.zeros(max(need, _GROW * max(len(arr), 16)), dtype=arr.dtype)
+    grown[: len(arr)] = arr
+    return grown
 
 
 def csr_range_indices(offsets: np.ndarray, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -241,18 +181,13 @@ def _topo_signature(topo: Topology) -> Tuple:
     )
 
 
-#: shared-segment array dtypes by spec key (everything else is int64)
-_ARRAY_DTYPES = {"weights": np.float64}
-
-
 @dataclass(frozen=True)
 class SharedRouteHandle:
     """Picklable description of a route table exported to shared memory.
 
-    ``arrays`` (eager tables) and ``shards`` (sharded tables) carry
-    ``(key, byte_offset, length)`` spans inside the single shared segment
-    ``name``; every array is int64 except per-path ``weights`` (float64).
-    The handle embeds the (picklable) topology and policy so
+    ``arrays`` carries one ``(key, byte_offset, length, dtype)`` span per
+    index or CSR array inside the single shared segment ``name``.  The
+    handle embeds the (picklable) topology and policy so
     :meth:`RouteTable.attach` is self-contained, and :meth:`seed_key` is
     the structural memo key :func:`route_table_for` uses to match a seed
     against a locally constructed topology.
@@ -264,21 +199,12 @@ class SharedRouteHandle:
     signature: Tuple
     policy: RoutingPolicy
     max_paths: int
-    mem_budget: Optional[int]
-    sharded: bool
     owner_pid: int = -1
     owner_tracker_pid: Optional[int] = None
-    shard_sources: Optional[int] = None
-    arrays: Tuple[Tuple[str, int, int], ...] = ()
-    shards: Tuple[Tuple[int, int, Tuple[Tuple[str, int, int], ...]], ...] = ()
+    arrays: Tuple[Tuple[str, int, int, str], ...] = ()
 
     def seed_key(self) -> Tuple:
-        return (
-            self.signature,
-            get_policy(self.policy).cache_key(),
-            self.max_paths,
-            self.mem_budget,
-        )
+        return (self.signature, get_policy(self.policy).cache_key(), self.max_paths)
 
 
 #: lease id -> lease dict for every shared segment this process holds open
@@ -343,79 +269,6 @@ def _new_lease(shm, nbytes: int, *, owned: bool) -> Dict[str, object]:
     return lease
 
 
-#: module sentinel: "parameter not given, fall back to the environment"
-_UNSET = object()
-
-
-class _RouteShard:
-    """One source-block's routes: a dict pair index + block-local CSR arrays.
-
-    Local path ids are ``id_base + row``; ``id_base`` advances across
-    drop-without-spill generations so a stale global id can never silently
-    alias a freshly re-enumerated path — gathers detect out-of-range rows
-    and fail loudly instead.
-    """
-
-    __slots__ = (
-        "index",
-        "offsets",
-        "links",
-        "weights",
-        "num_paths",
-        "links_used",
-        "id_base",
-        "dirty",
-    )
-
-    # rough per-entry cost of the dict index (key int, 3-tuple of ints,
-    # hash-table slot) counted against the memory budget
-    INDEX_ENTRY_BYTES = 120
-
-    def __init__(self, id_base: int = 0):
-        # pair key -> (local_first_path_id, num_paths, num_minimal)
-        self.index: Dict[int, Tuple[int, int, int]] = {}
-        self.offsets = np.zeros(1, dtype=np.int64)
-        self.links = np.zeros(0, dtype=np.int64)
-        self.weights = np.zeros(0, dtype=np.float64)
-        self.num_paths = 0
-        self.links_used = 0
-        self.id_base = id_base
-        self.dirty = True  # fresh shards always need spilling on evict
-
-    def nbytes(self) -> int:
-        return int(
-            self.offsets.nbytes + self.links.nbytes + self.weights.nbytes
-        ) + self.INDEX_ENTRY_BYTES * len(self.index)
-
-    def append(
-        self, key: int, paths: List[List[int]], weights: List[float], num_minimal: int
-    ) -> None:
-        first = self.num_paths
-        need_paths = first + len(paths)
-        if need_paths + 1 > len(self.offsets):
-            grown = np.zeros(max(need_paths + 1, _GROW * len(self.offsets)), dtype=np.int64)
-            grown[: self.num_paths + 1] = self.offsets[: self.num_paths + 1]
-            self.offsets = grown
-        if need_paths > len(self.weights):
-            grown_w = np.zeros(max(need_paths, _GROW * max(len(self.weights), 16)))
-            grown_w[: self.num_paths] = self.weights[: self.num_paths]
-            self.weights = grown_w
-        total_links = self.links_used + sum(len(p) for p in paths)
-        if total_links > len(self.links):
-            grown = np.zeros(max(total_links, _GROW * max(len(self.links), 16)), dtype=np.int64)
-            grown[: self.links_used] = self.links[: self.links_used]
-            self.links = grown
-        self.weights[first : first + len(paths)] = weights
-        for path in paths:
-            end = self.links_used + len(path)
-            self.links[self.links_used : end] = path
-            self.links_used = end
-            self.num_paths += 1
-            self.offsets[self.num_paths] = end
-        self.index[key] = (self.id_base + first, len(paths), num_minimal)
-        self.dirty = True
-
-
 class RouteTableStats:
     """Pair-level cache counters of one :class:`RouteTable`.
 
@@ -458,18 +311,16 @@ class RouteTableStats:
 class RouteTable:
     """Lazily-populated CSR store of multipath routes on one topology.
 
-    Layout (eager mode): path ``p`` occupies
-    ``path_links[path_offsets[p]:path_offsets[p+1]]`` (directed link
-    indices); the pair ``(src, dst)`` owns the contiguous path id range
-    ``[pair_first[key], pair_first[key] + pair_npaths[key])`` where
-    ``key = src * num_nodes + dst``.  Contiguity is what makes the flow
+    Path ``p`` occupies ``path_links[path_offsets[p]:path_offsets[p+1]]``
+    (directed link indices).  Path ids are assigned in first-contact order,
+    and the pair ``(src, dst)`` owns the contiguous id range
+    ``[first, first + npaths)``.  Contiguity is what makes the flow
     simulator's incidence construction a gather instead of a loop.
 
-    Sharded mode (chosen automatically when the dense pair index would not
-    fit ``mem_budget``, or forced with ``sharded=True``) keeps the same
-    contiguity invariant *within* each per-source-block shard and encodes
-    path ids as ``shard_index * 2**40 + local_id``; every public query is
-    shard-aware and bit-identical to the eager build.
+    The pair index is sparse (see the module docstring): sorted int64 keys
+    ``src * num_nodes + dst`` with parallel ``first`` / ``npaths`` /
+    ``nmin`` arrays ending in a sentinel row, plus a dict of at most 64
+    pairs routed since the last merge.
     """
 
     def __init__(
@@ -479,66 +330,60 @@ class RouteTable:
         max_paths: int = DEFAULT_MAX_PATHS,
         provider: Optional[PathProvider] = None,
         policy: Union[str, RoutingPolicy, None] = None,
-        mem_budget: Union[str, int, float, None] = _UNSET,
-        sharded: Optional[bool] = None,
-        shard_sources: Optional[int] = None,
-        spill: Optional[bool] = None,
-        spill_dir: Optional[str] = None,
     ):
         if max_paths < 1:
             raise ValueError("max_paths must be at least 1")
+        counts = _count_dtype(max_paths)
+        self._setup(
+            topo,
+            max_paths,
+            provider,
+            get_policy(policy),
+            {
+                "keys": np.array([_SENTINEL_KEY], dtype=np.int64),
+                "first": np.zeros(1, dtype=np.int64),
+                "npaths": np.zeros(1, dtype=counts),
+                "nmin": np.zeros(1, dtype=counts),
+                "offsets": np.zeros(1, dtype=np.int64),
+                "links": np.zeros(0, dtype=np.int64),
+                "weights": np.zeros(0, dtype=np.float64),
+            },
+        )
+        _obs.counter("routing.tables_built").inc()
+        self._report_csr_bytes()
+
+    def _setup(
+        self,
+        topo: Topology,
+        max_paths: int,
+        provider: Optional[PathProvider],
+        policy: RoutingPolicy,
+        arrays: Dict[str, np.ndarray],
+    ) -> None:
+        """State shared by a fresh table and one attached to a segment."""
         self.topo = topo
         self.max_paths = max_paths
         self.provider = provider if provider is not None else path_provider_for(topo)
-        self.policy = get_policy(policy)
+        self.policy = policy
         self.stats = RouteTableStats()
-        n = topo.num_nodes
-        if mem_budget is _UNSET:
-            budget = default_mem_budget()
-        else:
-            budget = parse_mem_budget(mem_budget)
-        self.mem_budget = budget
-        dense_index_bytes = 3 * 8 * n * n
-        if sharded is None:
-            sharded = budget is not None and dense_index_bytes > budget
-        self._sharded = bool(sharded)
-        if self._sharded:
-            self._shard_sources = int(shard_sources or DEFAULT_SHARD_SOURCES)
-            if self._shard_sources < 1:
-                raise ValueError("shard_sources must be at least 1")
-            self._spill_enabled = True if spill is None else bool(spill)
-            # shard index -> resident shard, insertion order == LRU order
-            self._shards: "OrderedDict[int, _RouteShard]" = OrderedDict()
-            # shard index -> id_base of the *next* generation after a
-            # drop-without-spill eviction
-            self._dropped_bases: Dict[int, int] = {}
-            self._resident_bytes = 0
-            self._pairs_routed = 0
-            self.shards_built = 0
-            self.shards_evicted = 0
-            # spill bookkeeping lives in a plain dict so a weakref finalizer
-            # can delete the files without resurrecting the table
-            self._spill_state: Dict[str, object] = {
-                "files": {},  # shard index -> (path, size_bytes)
-                "owned_dir": None,
-                "base_dir": spill_dir or os.environ.get("REPRO_ROUTE_SPILL_DIR"),
-            }
-            weakref.finalize(self, _cleanup_spill, self._spill_state)
-        else:
-            # Pair key -> first path id / path count.  -1 == not yet populated.
-            self._pair_first = np.full(n * n, -1, dtype=np.int64)
-            self._pair_npaths = np.zeros(n * n, dtype=np.int64)
-            # Leading paths of the pair that are minimal (== npaths except UGAL).
-            self._pair_nmin = np.zeros(n * n, dtype=np.int64)
-            # CSR storage, grown geometrically.
-            self._path_offsets = np.zeros(1, dtype=np.int64)
-            self._path_links = np.zeros(0, dtype=np.int64)
-            self._path_weights = np.zeros(0, dtype=np.float64)
-            self._num_paths = 0
-            self._links_used = 0
-        # (key, count) -> materialized Python path lists (shared, immutable)
-        self._pylists: Dict[Tuple[int, int], List[List[int]]] = {}
-        _obs.counter("routing.tables_built").inc()
+        # Sorted pair index: key -> first path id / path count / leading
+        # minimal paths (== path count except under UGAL), ending in the
+        # sentinel row.
+        self._keys = arrays["keys"]
+        self._first = arrays["first"]
+        self._npaths = arrays["npaths"]
+        self._nmin = arrays["nmin"]
+        self._count_limit = int(np.iinfo(self._npaths.dtype).max)
+        # key -> (first, npaths, nmin) of pairs routed since the last merge
+        self._pending: Dict[int, Tuple[int, int, int]] = {}
+        # CSR storage, grown geometrically; exact-length views when attached.
+        self._path_offsets = arrays["offsets"]
+        self._path_links = arrays["links"]
+        self._path_weights = arrays["weights"]
+        self._num_paths = len(self._path_offsets) - 1
+        self._links_used = int(self._path_offsets[-1])
+        # (key, max_paths) -> materialized Python path lists (shared, immutable)
+        self._pylists: Dict[Tuple[int, Optional[int]], List[List[int]]] = {}
         # routing.csr_mem_bytes tracks the estimated bytes of *live* tables:
         # growth is reported as gauge deltas, and a finalizer releases the
         # table's last-reported contribution when it is garbage collected.
@@ -548,29 +393,21 @@ class RouteTable:
         self._builder_pid = os.getpid()
         self._reported_bytes = [0]
         weakref.finalize(self, _release_csr_bytes, self._reported_bytes)
-        self._report_csr_bytes()
         register_route_cache_client(self)
 
-    @property
-    def is_sharded(self) -> bool:
-        """Whether the table uses sharded (budgeted) storage."""
-        return self._sharded
-
     def estimated_csr_bytes(self) -> int:
-        """Estimated bytes held by the table's index + CSR arrays.
+        """Estimated bytes held by the table's pair index + CSR arrays.
 
-        Dominated by the three ``O(num_nodes**2)`` pair-index arrays in
-        eager mode; the number ROADMAP item 1 (10k+ endpoint scaling) is
-        judged against.  In sharded mode this is the *resident* byte count
-        (the quantity the memory budget bounds); spilled shards are on disk
-        and tracked by the ``routing.spill_bytes`` gauge instead.
+        Proportional to the pairs routed (about 18 bytes of index per
+        merged pair, 170 per pair still pending) plus the paths they own;
+        never to ``num_nodes**2``.
         """
-        if self._sharded:
-            return int(self._resident_bytes)
         return int(
-            self._pair_first.nbytes
-            + self._pair_npaths.nbytes
-            + self._pair_nmin.nbytes
+            self._keys.nbytes
+            + self._first.nbytes
+            + self._npaths.nbytes
+            + self._nmin.nbytes
+            + _PENDING_ENTRY_BYTES * len(self._pending)
             + self._path_offsets.nbytes
             + self._path_links.nbytes
             + self._path_weights.nbytes
@@ -584,219 +421,129 @@ class RouteTable:
             _obs.gauge("routing.csr_mem_bytes").add(delta)
 
     def clear_route_caches(self) -> None:
-        """Drop derived route caches (the materialized Python path lists).
-
-        On a sharded table this additionally drops every resident shard,
-        deletes the spill files, and resets the memory-budget accounting —
-        routes re-enumerate deterministically on next contact, so a cleared
-        table can never serve stale shards or leak spill space.
-        """
+        """Drop derived route caches (the materialized Python path lists)."""
         self._pylists.clear()
-        if self._sharded:
-            self._shards.clear()
-            self._dropped_bases.clear()
-            self._resident_bytes = 0
-            self._pairs_routed = 0
-            # an attached table drops its shared views here; anything routed
-            # afterwards is private, so the attach-time baseline is void
-            self._csr_baseline = 0
-            _cleanup_spill(self._spill_state)
-            self._report_csr_bytes()
-
-    # ------------------------------------------------- sharded storage internals
-    def _spill_dir(self) -> str:
-        state = self._spill_state
-        directory = state.get("owned_dir")
-        if directory is None:
-            base = state.get("base_dir")
-            if base:
-                os.makedirs(base, exist_ok=True)  # type: ignore[arg-type]
-                directory = tempfile.mkdtemp(prefix="repro-routes-", dir=base)  # type: ignore[arg-type]
-            else:
-                directory = tempfile.mkdtemp(prefix="repro-routes-")
-            state["owned_dir"] = directory
-        return directory  # type: ignore[return-value]
-
-    def _spill_shard(self, si: int, shard: _RouteShard) -> None:
-        path = os.path.join(self._spill_dir(), f"shard{si}.npz")
-        count = len(shard.index)
-        keys = np.fromiter(shard.index.keys(), dtype=np.int64, count=count)
-        vals = np.array(list(shard.index.values()), dtype=np.int64).reshape(count, 3)
-        with open(path, "wb") as handle:
-            np.savez(
-                handle,
-                keys=keys,
-                vals=vals,
-                offsets=shard.offsets[: shard.num_paths + 1],
-                links=shard.links[: shard.links_used],
-                weights=shard.weights[: shard.num_paths],
-                id_base=np.int64(shard.id_base),
-            )
-        nbytes = os.path.getsize(path)
-        files: Dict[int, Tuple[str, int]] = self._spill_state["files"]  # type: ignore[assignment]
-        previous = files.get(si)
-        files[si] = (path, nbytes)
-        _obs.gauge("routing.spill_bytes").add(nbytes - (previous[1] if previous else 0))
-
-    def _load_shard(self, si: int) -> _RouteShard:
-        path = self._spill_state["files"][si][0]  # type: ignore[index]
-        with np.load(path) as data:
-            shard = _RouteShard(id_base=int(data["id_base"]))
-            vals = data["vals"].tolist()
-            shard.index = {
-                int(k): (v[0], v[1], v[2]) for k, v in zip(data["keys"].tolist(), vals)
-            }
-            shard.offsets = data["offsets"]
-            shard.links = data["links"]
-            shard.weights = data["weights"]
-        shard.num_paths = len(shard.weights)
-        shard.links_used = len(shard.links)
-        shard.dirty = False
-        return shard
-
-    def _evict_shard(self, si: int) -> None:
-        shard = self._shards.pop(si)
-        self._resident_bytes -= shard.nbytes()
-        self.shards_evicted += 1
-        _obs.counter("routing.shards_evicted").inc()
-        if self._spill_enabled:
-            if shard.dirty:
-                self._spill_shard(si, shard)
-        else:
-            # Routes re-enumerate (deterministically) on next contact; the id
-            # space advances so stale global path ids fail loudly instead of
-            # silently aliasing the re-enumerated paths.
-            self._dropped_bases[si] = shard.id_base + shard.num_paths
-            self._pairs_routed -= len(shard.index)
-
-    def _enforce_budget(self, keep: int) -> None:
-        if self.mem_budget is None:
-            return
-        while self._resident_bytes > self.mem_budget and len(self._shards) > 1:
-            victim = next((si for si in self._shards if si != keep), None)
-            if victim is None:
-                break
-            self._evict_shard(victim)
-        self._report_csr_bytes()
-
-    def _resident_shard(self, si: int, *, create: bool = False) -> Optional[_RouteShard]:
-        """The shard, made resident (reloaded from spill / freshly created)."""
-        shard = self._shards.get(si)
-        if shard is not None:
-            self._shards.move_to_end(si)
-            return shard
-        if si in self._spill_state["files"]:  # type: ignore[operator]
-            shard = self._load_shard(si)
-        elif create:
-            shard = _RouteShard(id_base=self._dropped_bases.get(si, 0))
-            self.shards_built += 1
-            _obs.counter("routing.shards_built").inc()
-        else:
-            return None
-        self._shards[si] = shard
-        self._resident_bytes += shard.nbytes()
-        self._enforce_budget(keep=si)
-        return shard
-
-    def _require_shard(self, si: int) -> _RouteShard:
-        shard = self._resident_shard(si)
-        if shard is None:
-            raise RuntimeError(
-                f"route shard {si} was evicted with spill disabled; its path ids "
-                "can no longer be resolved (enable spill or raise the memory budget)"
-            )
-        return shard
-
-    def _shard_rows(self, shard: _RouteShard, si: int, local_ids: np.ndarray) -> np.ndarray:
-        rows = local_ids - shard.id_base
-        if len(rows) and (int(rows.min()) < 0 or int(rows.max()) >= shard.num_paths):
-            raise RuntimeError(
-                f"stale path ids into route shard {si}: the shard was rebuilt after "
-                "a spill-disabled eviction (enable spill or raise the memory budget)"
-            )
-        return rows
-
-    def _shard_lookup(
-        self, src: int, dst: int, shard: Optional[_RouteShard] = None
-    ) -> Tuple[int, int, int, _RouteShard]:
-        """(first_global_path_id, npaths, nmin, shard) of a pair; populates on miss."""
-        si = src // self._shard_sources
-        if shard is None:
-            shard = self._resident_shard(si, create=True)
-        key = src * self.topo.num_nodes + dst
-        entry = shard.index.get(key)
-        if entry is not None:
-            self.stats.record_hits()
-        else:
-            routes = self.policy.routes(self.provider, src, dst, self.max_paths)
-            if not routes.paths:
-                raise TopologyError(f"no path between nodes {src} and {dst}")
-            self.stats.record_misses()
-            before = shard.nbytes()
-            shard.append(key, routes.paths, routes.weights, routes.num_minimal)
-            self._resident_bytes += shard.nbytes() - before
-            self._pairs_routed += 1
-            entry = shard.index[key]
-            self._enforce_budget(keep=si)
-        first_local, npaths, nmin = entry
-        return si * _SHARD_STRIDE + first_local, npaths, nmin, shard
 
     # ------------------------------------------------------------- population
-    def _append_paths(
-        self, key: int, paths: List[List[int]], weights: List[float], num_minimal: int
-    ) -> None:
-        if not self._pair_first.flags.writeable:
-            # attached (shared, read-only) pair index: privatize on first
-            # miss — the shared segment itself is never written
-            self._pair_first = self._pair_first.copy()
-            self._pair_npaths = self._pair_npaths.copy()
-            self._pair_nmin = self._pair_nmin.copy()
-        first = self._num_paths
-        need_paths = first + len(paths)
-        if need_paths + 1 > len(self._path_offsets):
-            grown = np.zeros(max(need_paths + 1, _GROW * len(self._path_offsets)), dtype=np.int64)
-            grown[: self._num_paths + 1] = self._path_offsets[: self._num_paths + 1]
-            self._path_offsets = grown
-        if need_paths > len(self._path_weights):
-            grown_w = np.zeros(max(need_paths, _GROW * max(len(self._path_weights), 16)))
-            grown_w[: self._num_paths] = self._path_weights[: self._num_paths]
-            self._path_weights = grown_w
-        total_links = self._links_used + sum(len(p) for p in paths)
-        if total_links > len(self._path_links):
-            grown = np.zeros(max(total_links, _GROW * max(len(self._path_links), 16)), dtype=np.int64)
-            grown[: self._links_used] = self._path_links[: self._links_used]
-            self._path_links = grown
-        self._path_weights[first : first + len(paths)] = weights
-        for path in paths:
-            end = self._links_used + len(path)
-            self._path_links[self._links_used : end] = path
-            self._links_used = end
-            self._num_paths += 1
-            self._path_offsets[self._num_paths] = end
-        self._pair_first[key] = first
-        self._pair_npaths[key] = len(paths)
-        self._pair_nmin[key] = num_minimal
-        self._report_csr_bytes()
-
-    def _populate(self, src: int, dst: int) -> int:
-        """Ensure ``(src, dst)`` is routed; return its pair key."""
-        key = src * self.topo.num_nodes + dst
-        if self._pair_first[key] >= 0:
-            self.stats.record_hits()
-            return key
+    def _route(self, key: int, src: int, dst: int) -> Tuple[int, int, int]:
+        """Enumerate a new pair into the CSR; return its index entry."""
         routes = self.policy.routes(self.provider, src, dst, self.max_paths)
         if not routes.paths:
             raise TopologyError(f"no path between nodes {src} and {dst}")
         self.stats.record_misses()
-        self._append_paths(key, routes.paths, routes.weights, routes.num_minimal)
-        return key
+        if len(self._pending) == _PENDING_MAX:
+            self._merge()
+        entry = (self._num_paths, len(routes.paths), routes.num_minimal)
+        self._append_paths(routes)
+        self._pending[key] = entry
+        self._report_csr_bytes()
+        return entry
+
+    def _append_paths(self, routes: RouteSet) -> None:
+        count = len(routes.paths)
+        if count > self._count_limit:
+            raise ValueError(
+                f"policy {self.policy.name!r} returned {count} paths, more than "
+                f"the table's max_paths={self.max_paths} allows"
+            )
+        first, used = self._num_paths, self._links_used
+        ends = list(accumulate((len(p) for p in routes.paths), initial=used))
+        end = ends[-1]
+        self._path_offsets = _reserve(self._path_offsets, first + count + 1)
+        self._path_weights = _reserve(self._path_weights, first + count)
+        self._path_links = _reserve(self._path_links, end)
+        self._path_offsets[first + 1 : first + count + 1] = ends[1:]
+        self._path_weights[first : first + count] = routes.weights
+        self._path_links[used:end] = list(chain.from_iterable(routes.paths))
+        self._num_paths = first + count
+        self._links_used = end
+
+    def _merge(self) -> None:
+        """Move the pending pairs into the sorted index with one insert."""
+        count = len(self._pending)
+        if not count:
+            return
+        keys = np.fromiter(self._pending, dtype=np.int64, count=count)
+        rows = np.array(list(self._pending.values()), dtype=np.int64)
+        order = np.argsort(keys)
+        keys, rows = keys[order], rows[order]
+        at = np.searchsorted(self._keys, keys)
+        self._keys = np.insert(self._keys, at, keys)
+        self._first = np.insert(self._first, at, rows[:, 0])
+        self._npaths = np.insert(self._npaths, at, rows[:, 1])
+        self._nmin = np.insert(self._nmin, at, rows[:, 2])
+        self._pending.clear()
+        self._report_csr_bytes()
+
+    def _find(self, key: int) -> Optional[Tuple[int, int, int]]:
+        """``(first, npaths, nmin)`` of a routed pair key, else ``None``."""
+        entry = self._pending.get(key)
+        if entry is not None:
+            return entry
+        i = int(self._keys.searchsorted(key))
+        if self._keys[i] == key:
+            return int(self._first[i]), int(self._npaths[i]), int(self._nmin[i])
+        return None
+
+    def _entry(self, src: int, dst: int) -> Tuple[int, int, int]:
+        """``(first, npaths, nmin)`` of one pair; routes it on first contact."""
+        key = src * self.topo.num_nodes + dst
+        entry = self._find(key)
+        if entry is None:
+            return self._route(key, src, dst)
+        self.stats.record_hits()
+        return entry
+
+    def _resolve(
+        self, src_nodes: np.ndarray, dst_nodes: np.ndarray, *, route: bool
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        """Sorted-index rows of a batch of pairs, patched for unmerged pairs.
+
+        Returns ``(rows, patch, entries)``: every pair's row in the sorted
+        index arrays, except that pair ``patch[j]`` (pending or new) has its
+        ``(first, npaths, nmin)`` in ``entries[j]`` instead; ``patch`` is
+        ``None`` when every pair is merged.  Merged pairs answer from one
+        ``searchsorted``; the rest, usually a handful, are looked up one by
+        one in input order, and a first contact is routed when ``route`` is
+        set (a repeat later in the batch then finds it), else ``KeyError``.
+        """
+        keys = (
+            np.asarray(src_nodes, dtype=np.int64) * self.topo.num_nodes
+            + np.asarray(dst_nodes, dtype=np.int64)
+        )
+        rows = self._keys.searchsorted(keys)
+        found = self._keys[rows] == keys
+        if found.all():
+            if route:
+                self.stats.record_hits(len(keys))
+            return rows, None, None
+        patch = np.flatnonzero(~found)
+        entries = []
+        routed = 0
+        index = self._keys
+        for i, key in zip(patch.tolist(), keys[patch].tolist()):
+            entry = self._find(key)
+            if entry is None:
+                src, dst = int(src_nodes[i]), int(dst_nodes[i])
+                if not route:
+                    raise KeyError(f"pair ({src}, {dst}) is not routed")
+                entry = self._route(key, src, dst)
+                routed += 1
+            entries.append(entry)
+        if self._keys is not index:  # a miss filled the pending dict and merged
+            rows = self._keys.searchsorted(keys)
+        if route:
+            self.stats.record_hits(len(keys) - routed)
+        return rows, patch, np.array(entries, dtype=np.int64)
+
+    def _path_lists(self, first: int, count: int) -> List[List[int]]:
+        offsets, links = self._path_offsets, self._path_links
+        return [links[offsets[p] : offsets[p + 1]].tolist() for p in range(first, first + count)]
 
     # ---------------------------------------------------------------- queries
     @property
     def num_pairs_routed(self) -> int:
-        if self._sharded:
-            return int(self._pairs_routed)
-        return int((self._pair_first >= 0).sum())
+        return len(self._keys) - 1 + len(self._pending)
 
     def paths(self, src: int, dst: int, max_paths: Optional[int] = None) -> List[List[int]]:
         """Candidate paths as lists of directed link indices.
@@ -807,40 +554,20 @@ class RouteTable:
         """
         if src == dst:
             return [[]]
-        if self._sharded:
-            gid, count, _nmin, shard = self._shard_lookup(src, dst)
-            if max_paths is not None:
-                count = min(count, max_paths)
-            row = (gid % _SHARD_STRIDE) - shard.id_base
-            return [
-                shard.links[shard.offsets[r] : shard.offsets[r + 1]].tolist()
-                for r in range(row, row + count)
-            ]
-        key = self._populate(src, dst)
-        first = int(self._pair_first[key])
-        count = int(self._pair_npaths[key])
+        first, count, _nmin = self._entry(src, dst)
         if max_paths is not None:
             count = min(count, max_paths)
-        out: List[List[int]] = []
-        for pid in range(first, first + count):
-            s, e = self._path_offsets[pid], self._path_offsets[pid + 1]
-            out.append(self._path_links[s:e].tolist())
-        return out
+        return self._path_lists(first, count)
 
     def pair_slice(self, src: int, dst: int) -> Tuple[int, int]:
         """CSR slice of one pair: ``(first_path_id, num_paths)``.
 
         Populates the pair on first contact.  Path ``p`` of the pair
         (``first <= p < first + count``) occupies
-        ``path_links[path_offsets[p]:path_offsets[p+1]]`` in eager mode; in
-        sharded mode the ids are global (shard-encoded) and resolved by the
-        table's own gathers.
+        ``path_links[path_offsets[p]:path_offsets[p+1]]``.
         """
-        if self._sharded:
-            gid, count, _nmin, _shard = self._shard_lookup(src, dst)
-            return int(gid), int(count)
-        key = self._populate(src, dst)
-        return int(self._pair_first[key]), int(self._pair_npaths[key])
+        first, count, _nmin = self._entry(src, dst)
+        return first, count
 
     def pair_path_lists(
         self, src: int, dst: int, max_paths: Optional[int] = None
@@ -851,77 +578,37 @@ class RouteTable:
         shared by every caller — the packet simulator's per-packet adaptive
         scoring iterates these lists millions of times, and because the table
         itself is memoized per ``(topology, max_paths)``, the materialization
-        cost is paid once per pair across *all* simulator instances.  Treat
-        the result as immutable.
+        cost is paid once per pair across *all* simulator instances.  A
+        repeat call is one dict probe.  Treat the result as immutable.
         """
         if src == dst:
             return [[]]
-        if self._sharded:
-            gid, count, _nmin, shard = self._shard_lookup(src, dst)
-            if max_paths is not None:
-                count = min(count, max_paths)
-            cache_key = (src * self.topo.num_nodes + dst, count)
-            cached = self._pylists.get(cache_key)
-            if cached is None:
-                row = (gid % _SHARD_STRIDE) - shard.id_base
-                cached = [
-                    shard.links[shard.offsets[r] : shard.offsets[r + 1]].tolist()
-                    for r in range(row, row + count)
-                ]
-                self._pylists[cache_key] = cached
+        cache_key = (src * self.topo.num_nodes + dst, max_paths)
+        cached = self._pylists.get(cache_key)
+        if cached is not None:
+            self.stats.record_hits()
             return cached
-        first, count = self.pair_slice(src, dst)
+        first, count, _nmin = self._entry(src, dst)
         if max_paths is not None:
             count = min(count, max_paths)
-        cache_key = (src * self.topo.num_nodes + dst, count)
-        cached = self._pylists.get(cache_key)
-        if cached is None:
-            offsets, links = self._path_offsets, self._path_links
-            cached = [
-                links[offsets[pid] : offsets[pid + 1]].tolist()
-                for pid in range(first, first + count)
-            ]
-            self._pylists[cache_key] = cached
+        cached = self._pylists[cache_key] = self._path_lists(first, count)
         return cached
 
     def pair_arrays(self, src_nodes: np.ndarray, dst_nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """First path id and path count per ``(src, dst)`` pair, vectorized.
 
-        Populates any missing pairs (the only Python-level loop, and only on
-        first contact with a pair), then answers from the index arrays.  In
-        sharded mode the lookups are grouped by shard so each shard is made
-        resident exactly once per call.
+        Merged pairs answer from one ``searchsorted`` over the sorted index.
+        The rest are looked up in the pending dict or enumerated, in input
+        order (the only Python-level loop, over at most 64 pending pairs
+        plus the call's first contacts); a pair repeated within the call
+        counts one miss and then hits, as it would one at a time.
         """
-        if self._sharded:
-            return self._sharded_pair_arrays(src_nodes, dst_nodes)
-        n = self.topo.num_nodes
-        keys = src_nodes * n + dst_nodes
-        missing = np.nonzero(self._pair_first[keys] < 0)[0]
-        for i in missing:
-            self._populate(int(src_nodes[i]), int(dst_nodes[i]))
-        self.stats.record_hits(len(keys) - len(missing))
-        return self._pair_first[keys], self._pair_npaths[keys]
-
-    def _sharded_pair_arrays(
-        self, src_nodes: np.ndarray, dst_nodes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        k = len(src_nodes)
-        first = np.empty(k, dtype=np.int64)
-        npaths = np.empty(k, dtype=np.int64)
-        shard_ids = np.asarray(src_nodes, dtype=np.int64) // self._shard_sources
-        order = np.argsort(shard_ids, kind="stable")
-        current_si = -1
-        shard: Optional[_RouteShard] = None
-        for i in order.tolist():
-            si = int(shard_ids[i])
-            if si != current_si:
-                shard = self._resident_shard(si, create=True)
-                current_si = si
-            gid, count, _nmin, shard = self._shard_lookup(
-                int(src_nodes[i]), int(dst_nodes[i]), shard
-            )
-            first[i] = gid
-            npaths[i] = count
+        rows, patch, entries = self._resolve(src_nodes, dst_nodes, route=True)
+        first = self._first[rows]
+        npaths = self._npaths[rows].astype(np.int64)
+        if patch is not None:
+            first[patch] = entries[:, 0]
+            npaths[patch] = entries[:, 1]
         return first, npaths
 
     def gather_links(self, path_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -931,92 +618,36 @@ class RouteTable:
         every path's link indices in order — the CSR gather at the heart of
         :meth:`FlowSimulator.assign`.
         """
-        if self._sharded:
-            return self._sharded_gather_links(np.asarray(path_ids, dtype=np.int64))
         idx, lengths = csr_range_indices(self._path_offsets, path_ids)
         if len(idx) == 0:
             return np.zeros(0, dtype=np.int64), lengths
         return self._path_links[idx], lengths
 
-    def _sharded_gather_links(self, path_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        k = len(path_ids)
-        lengths = np.empty(k, dtype=np.int64)
-        shard_ids = path_ids // _SHARD_STRIDE
-        local_ids = path_ids - shard_ids * _SHARD_STRIDE
-        gathered = []
-        for si in np.unique(shard_ids).tolist():
-            si = int(si)
-            shard = self._require_shard(si)
-            positions = np.nonzero(shard_ids == si)[0]
-            rows = self._shard_rows(shard, si, local_ids[positions])
-            idx, lens = csr_range_indices(shard.offsets, rows)
-            lengths[positions] = lens
-            # copy now (fancy indexing already copies): the shard may be
-            # evicted while a later shard is made resident
-            gathered.append((positions, lens, shard.links[idx]))
-        total = int(lengths.sum())
-        out = np.empty(total, dtype=np.int64)
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        for positions, lens, links in gathered:
-            out[_scatter_targets(starts[positions], lens)] = links
-        return out, lengths
-
     def gather_path_weights(self, path_ids: np.ndarray) -> np.ndarray:
         """Policy split weight of every path in ``path_ids`` (vectorized)."""
-        if self._sharded:
-            path_ids = np.asarray(path_ids, dtype=np.int64)
-            out = np.empty(len(path_ids), dtype=np.float64)
-            shard_ids = path_ids // _SHARD_STRIDE
-            local_ids = path_ids - shard_ids * _SHARD_STRIDE
-            for si in np.unique(shard_ids).tolist():
-                si = int(si)
-                shard = self._require_shard(si)
-                positions = np.nonzero(shard_ids == si)[0]
-                rows = self._shard_rows(shard, si, local_ids[positions])
-                out[positions] = shard.weights[rows]
-            return out
         return self._path_weights[path_ids]
 
     def pair_weights(self, src: int, dst: int) -> List[float]:
         """Split weights of one pair's candidate paths (populates the pair)."""
         if src == dst:
             return [1.0]
-        if self._sharded:
-            gid, count, _nmin, shard = self._shard_lookup(src, dst)
-            row = (gid % _SHARD_STRIDE) - shard.id_base
-            return shard.weights[row : row + count].tolist()
-        first, count = self.pair_slice(src, dst)
+        first, count, _nmin = self._entry(src, dst)
         return self._path_weights[first : first + count].tolist()
 
     def pair_minimal_counts(self, src_nodes: np.ndarray, dst_nodes: np.ndarray) -> np.ndarray:
         """Number of leading minimal paths per pair, vectorized.
 
-        Pairs must already be populated (call :meth:`pair_arrays` first;
-        a sharded table re-populates evicted pairs transparently).  Equals
-        the pair's path count under ``minimal``/``ecmp``, the
-        minimal-group size under ``ugal`` (whose trailing paths are the
-        Valiant alternates), and 0 under ``valiant`` (every stored path is
-        a detour).
+        Pairs must already be routed (call :meth:`pair_arrays` first);
+        an unrouted pair raises ``KeyError``.  Equals the pair's path count
+        under ``minimal``/``ecmp``, the minimal-group size under ``ugal``
+        (whose trailing paths are the Valiant alternates), and 0 under
+        ``valiant`` (every stored path is a detour).
         """
-        if self._sharded:
-            out = np.empty(len(src_nodes), dtype=np.int64)
-            shard_ids = np.asarray(src_nodes, dtype=np.int64) // self._shard_sources
-            order = np.argsort(shard_ids, kind="stable")
-            current_si = -1
-            shard: Optional[_RouteShard] = None
-            for i in order.tolist():
-                si = int(shard_ids[i])
-                if si != current_si:
-                    shard = self._resident_shard(si, create=True)
-                    current_si = si
-                _gid, _count, nmin, shard = self._shard_lookup(
-                    int(src_nodes[i]), int(dst_nodes[i]), shard
-                )
-                out[i] = nmin
-            return out
-        keys = src_nodes * self.topo.num_nodes + dst_nodes
-        return self._pair_nmin[keys]
+        rows, patch, entries = self._resolve(src_nodes, dst_nodes, route=False)
+        nmin = self._nmin[rows].astype(np.int64)
+        if patch is not None:
+            nmin[patch] = entries[:, 2]
+        return nmin
 
     # ---------------------------------------------------------- shared memory
     def share(self) -> SharedRouteHandle:
@@ -1033,61 +664,26 @@ class RouteTable:
             return handle
         from multiprocessing import shared_memory
 
+        self._merge()
+        arrays = [
+            ("keys", self._keys),
+            ("first", self._first),
+            ("npaths", self._npaths),
+            ("nmin", self._nmin),
+            ("offsets", self._path_offsets[: self._num_paths + 1]),
+            ("links", self._path_links[: self._links_used]),
+            ("weights", self._path_weights[: self._num_paths]),
+        ]
+        specs = []
         offset = 0
-        flat: List[Tuple[int, np.ndarray]] = []
-
-        def pack(arrays) -> Tuple[Tuple[str, int, int], ...]:
-            nonlocal offset
-            specs = []
-            for key, arr in arrays:
-                specs.append((key, offset, int(len(arr))))
-                flat.append((offset, arr))
-                offset += int(arr.nbytes)
-            return tuple(specs)
-
-        arrays_spec: Tuple[Tuple[str, int, int], ...] = ()
-        shards_spec: List[Tuple[int, int, Tuple[Tuple[str, int, int], ...]]] = []
-        if self._sharded:
-            spilled = self._spill_state["files"]
-            for si in sorted(set(self._shards) | set(spilled)):  # type: ignore[arg-type]
-                shard = self._shards.get(si)
-                if shard is None:
-                    shard = self._load_shard(si)
-                if not shard.index:
-                    continue
-                count = len(shard.index)
-                keys = np.fromiter(shard.index.keys(), dtype=np.int64, count=count)
-                vals = np.array(list(shard.index.values()), dtype=np.int64).reshape(count * 3)
-                shards_spec.append(
-                    (
-                        int(si),
-                        int(shard.id_base),
-                        pack(
-                            [
-                                ("keys", keys),
-                                ("vals", vals),
-                                ("offsets", np.ascontiguousarray(shard.offsets[: shard.num_paths + 1])),
-                                ("links", np.ascontiguousarray(shard.links[: shard.links_used])),
-                                ("weights", np.ascontiguousarray(shard.weights[: shard.num_paths])),
-                            ]
-                        ),
-                    )
-                )
-        else:
-            arrays_spec = pack(
-                [
-                    ("pair_first", self._pair_first),
-                    ("pair_npaths", self._pair_npaths),
-                    ("pair_nmin", self._pair_nmin),
-                    ("offsets", np.ascontiguousarray(self._path_offsets[: self._num_paths + 1])),
-                    ("links", np.ascontiguousarray(self._path_links[: self._links_used])),
-                    ("weights", np.ascontiguousarray(self._path_weights[: self._num_paths])),
-                ]
-            )
+        for key, arr in arrays:
+            offset = -(-offset // 8) * 8  # keep every array 8-byte aligned
+            specs.append((key, offset, len(arr), arr.dtype.str))
+            offset += arr.nbytes
         total = max(offset, 8)  # zero-size segments are not allowed
         seg = shared_memory.SharedMemory(create=True, size=total)
-        for off, arr in flat:
-            if len(arr):
+        for (_key, off, length, _dtype), (_name, arr) in zip(specs, arrays):
+            if length:
                 np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf, offset=off)[:] = arr
         handle = SharedRouteHandle(
             name=seg.name,
@@ -1096,13 +692,9 @@ class RouteTable:
             signature=_topo_signature(self.topo),
             policy=self.policy,
             max_paths=self.max_paths,
-            mem_budget=self.mem_budget,
-            sharded=self._sharded,
             owner_pid=os.getpid(),
             owner_tracker_pid=_tracker_pid(),
-            shard_sources=self._shard_sources if self._sharded else None,
-            arrays=arrays_spec,
-            shards=tuple(shards_spec),
+            arrays=tuple(specs),
         )
         lease = _new_lease(seg, total, owned=True)
         weakref.finalize(self, _release_segment, lease)
@@ -1121,7 +713,7 @@ class RouteTable:
         Array payloads are zero-copy, read-only views into the shared
         segment; queries over snapshot pairs are bit-identical to the
         owning table's.  Misses re-enumerate deterministically into
-        process-private memory (the shared bytes are never written).
+        process-private copies (the shared bytes are never written).
         ``topo`` defaults to the handle's embedded topology; passing a
         locally built topology with a different structural signature
         raises ``ValueError``.
@@ -1153,72 +745,18 @@ class RouteTable:
             except Exception:
                 pass
 
-        def view(spec: Tuple[str, int, int]) -> np.ndarray:
-            key, off, length = spec
-            arr = np.ndarray(
-                (length,), dtype=_ARRAY_DTYPES.get(key, np.int64), buffer=seg.buf, offset=off
-            )
+        views = {}
+        for key, off, length, dtype in handle.arrays:
+            arr = np.ndarray((length,), dtype=np.dtype(dtype), buffer=seg.buf, offset=off)
             arr.flags.writeable = False
-            return arr
-
-        table = object.__new__(cls)
-        table.topo = topo
-        table.max_paths = handle.max_paths
-        table.provider = path_provider_for(topo)
-        table.policy = get_policy(handle.policy)
-        table.stats = RouteTableStats()
-        table._pylists = {}
-        table._sharded = bool(handle.sharded)
-        if table._sharded:
-            table.mem_budget = None  # attached shards are never evicted or spilled
-            table._shard_sources = int(handle.shard_sources or DEFAULT_SHARD_SOURCES)
-            table._spill_enabled = False
-            table._shards = OrderedDict()
-            table._dropped_bases = {}
-            table._resident_bytes = 0
-            table._pairs_routed = 0
-            table.shards_built = 0
-            table.shards_evicted = 0
-            table._spill_state = {"files": {}, "owned_dir": None, "base_dir": None}
-            weakref.finalize(table, _cleanup_spill, table._spill_state)
-            for si, id_base, specs in handle.shards:
-                named = {spec[0]: spec for spec in specs}
-                shard = _RouteShard(id_base=int(id_base))
-                keys = view(named["keys"])
-                vals = view(named["vals"]).reshape(-1, 3)
-                shard.index = {
-                    int(k): (int(v[0]), int(v[1]), int(v[2]))
-                    for k, v in zip(keys.tolist(), vals.tolist())
-                }
-                shard.offsets = view(named["offsets"])
-                shard.links = view(named["links"])
-                shard.weights = view(named["weights"])
-                shard.num_paths = len(shard.weights)
-                shard.links_used = len(shard.links)
-                shard.dirty = False
-                table._shards[int(si)] = shard
-                table._resident_bytes += shard.nbytes()
-                table._pairs_routed += len(shard.index)
-        else:
-            table.mem_budget = handle.mem_budget
-            named = {spec[0]: spec for spec in handle.arrays}
-            table._pair_first = view(named["pair_first"])
-            table._pair_npaths = view(named["pair_npaths"])
-            table._pair_nmin = view(named["pair_nmin"])
-            table._path_offsets = view(named["offsets"])
-            table._path_links = view(named["links"])
-            table._path_weights = view(named["weights"])
-            table._num_paths = len(table._path_weights)
-            table._links_used = len(table._path_links)
+            views[key] = arr
+        table = cls.__new__(cls)
+        table._setup(topo, handle.max_paths, None, get_policy(handle.policy), views)
         table._attach_lease = _new_lease(seg, handle.nbytes, owned=False)
         weakref.finalize(table, _release_segment, table._attach_lease)
         table._shared_handle = handle
         table._csr_baseline = table.estimated_csr_bytes()
-        table._builder_pid = os.getpid()
-        table._reported_bytes = [0]
-        weakref.finalize(table, _release_csr_bytes, table._reported_bytes)
         _obs.counter("routing.tables_attached").inc()
-        register_route_cache_client(table)
         return table
 
 
@@ -1239,7 +777,7 @@ def register_route_cache_client(client) -> None:
     _CACHE_CLIENTS.add(client)
 
 
-# seed key (signature, policy key, max_paths, budget) -> SharedRouteHandle;
+# seed key (signature, policy key, max_paths) -> SharedRouteHandle;
 # consulted by route_table_for on memo miss so worker processes attach the
 # parent's shared tables instead of rebuilding them.
 _SHARED_SEEDS: Dict[Tuple, SharedRouteHandle] = {}
@@ -1250,7 +788,7 @@ def seed_shared_route_tables(handles: Sequence[SharedRouteHandle]) -> None:
 
     Called in pool workers (via the initializer) with the handles the
     parent exported: any subsequent ``route_table_for`` whose
-    ``(topology signature, policy, max_paths, budget)`` matches a seed
+    ``(topology signature, policy, max_paths)`` matches a seed
     attaches the shared segment instead of building a table.  Later seeds
     with the same key replace earlier ones.
     """
@@ -1264,12 +802,12 @@ def clear_shared_route_seeds() -> None:
 
 
 def _attach_seed(
-    topo: Topology, policy: RoutingPolicy, max_paths: int, budget: Optional[int]
+    topo: Topology, policy: RoutingPolicy, max_paths: int
 ) -> Optional[RouteTable]:
     """Attach a matching seed, or ``None`` (stale seeds fail soft)."""
     if not _SHARED_SEEDS:
         return None
-    key = (_topo_signature(topo), policy.cache_key(), max_paths, budget)
+    key = (_topo_signature(topo), policy.cache_key(), max_paths)
     handle = _SHARED_SEEDS.get(key)
     if handle is None:
         return None
@@ -1286,35 +824,26 @@ def route_table_for(
     *,
     max_paths: int = DEFAULT_MAX_PATHS,
     policy: Union[str, RoutingPolicy, None] = None,
-    mem_budget: Union[str, int, float, None] = _UNSET,
 ) -> RouteTable:
-    """The shared :class:`RouteTable` of ``(topo, policy, max_paths, budget)``.
+    """The shared :class:`RouteTable` of ``(topo, policy, max_paths)``.
 
     Repeated calls return the *same* table object, so any number of
     simulators and backends built on one topology reuse each other's route
     enumeration work.  ``policy`` is a registered policy name or a
     :class:`~repro.sim.policy.RoutingPolicy` instance (``None`` ==
     ``"minimal"``); policies with equal :meth:`cache_key` share a table.
-    ``mem_budget`` (bytes or ``"4G"``-style string; default: the
-    ``REPRO_ROUTE_MEM_BUDGET`` environment variable) selects sharded
-    storage when the dense pair index would not fit — callers asking for
-    the same resolved budget share one table.
     """
     resolved = get_policy(policy)
-    if mem_budget is _UNSET:
-        budget = default_mem_budget()
-    else:
-        budget = parse_mem_budget(mem_budget)
     per_topo = _TABLES.get(topo)
     if per_topo is None:
         per_topo = {}
         _TABLES[topo] = per_topo
-    key = (resolved.cache_key(), max_paths, budget)
+    key = (resolved.cache_key(), max_paths)
     table = per_topo.get(key)
     if table is None:
-        table = _attach_seed(topo, resolved, max_paths, budget)
+        table = _attach_seed(topo, resolved, max_paths)
         if table is None:
-            table = RouteTable(topo, max_paths=max_paths, policy=resolved, mem_budget=budget)
+            table = RouteTable(topo, max_paths=max_paths, policy=resolved)
         per_topo[key] = table
     return table
 
@@ -1322,8 +851,7 @@ def route_table_for(
 def live_route_tables() -> List[RouteTable]:
     """Every currently memoized :class:`RouteTable`, across all topologies.
 
-    Introspection for benchmarks and tests asserting memory-budget
-    behaviour: after an in-process run, the tables it built are exactly the
+    Introspection for benchmarks and tests asserting route-table memory: after an in-process run, the tables it built are exactly the
     memoized ones (each table holds a strong reference to its topology, so
     entries outlive the simulators that created them until
     :func:`clear_route_tables`).
@@ -1358,8 +886,7 @@ def clear_route_tables() -> None:
 
     Besides the table memo itself, this clears the registered cache
     clients — live :class:`FlowSimulator` assignment LRUs, the tables'
-    materialized ``pair_path_lists``, packet-simulator scoring state, and
-    sharded tables' resident shards, spill files, and budget accounting.
+    materialized ``pair_path_lists`` and packet-simulator scoring state.
     Simulators constructed before the reset keep their (immutable, still
     valid) table object, but their derived caches are rebuilt on next use
     and every simulator constructed afterwards gets a fresh table.

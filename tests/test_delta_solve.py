@@ -13,7 +13,6 @@ from repro.sim import (
     swap_destinations,
     worst_receive_fraction,
 )
-from repro.sim.routing import parse_mem_budget
 
 PARITY = 1e-12
 
@@ -229,16 +228,6 @@ class TestAssignCacheKnob:
         with pytest.raises(ValueError):
             FlowSimulator(hx2mesh_4x4, assign_cache=-1)
 
-    def test_env_knob(self, hx2mesh_4x4, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSIGN_CACHE", "3")
-        assert FlowSimulator(hx2mesh_4x4).assign_cache == 3
-        monkeypatch.setenv("REPRO_ASSIGN_CACHE", "zero")
-        with pytest.raises(ValueError):
-            FlowSimulator(hx2mesh_4x4)
-        monkeypatch.setenv("REPRO_ASSIGN_CACHE", "-2")
-        with pytest.raises(ValueError):
-            FlowSimulator(hx2mesh_4x4)
-
     def test_disabled_cache_never_hits(self, hx2mesh_4x4):
         sim = FlowSimulator(hx2mesh_4x4, assign_cache=0)
         flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=10)
@@ -257,30 +246,6 @@ class TestAssignCacheKnob:
         sim.maxmin_rates(flows)
         after = obs.snapshot()["counters"]["flowsim.assignment_cache_hits"]
         assert after == before + 1
-
-
-class TestParseMemBudget:
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [
-            ("256m", 256 * 1024**2),
-            ("4g", 4 * 1024**3),
-            ("1k", 1024),
-            ("2T", 2 * 1024**4),
-            ("512", 512),
-        ],
-    )
-    def test_lowercase_suffixes(self, raw, expected):
-        assert parse_mem_budget(raw) == expected
-
-    @pytest.mark.parametrize("raw", [0, -1, "0", "-4G", "0M", -0.5])
-    def test_nonpositive_rejected(self, raw):
-        with pytest.raises(ValueError):
-            parse_mem_budget(raw)
-
-    def test_none_and_empty_mean_unbounded(self):
-        assert parse_mem_budget(None) is None
-        assert parse_mem_budget("") is None
 
 
 class TestSwapDestinations:

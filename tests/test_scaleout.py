@@ -1,9 +1,8 @@
-"""Scale-out path tests: sharded route tables, batched max-min, wave kernels.
+"""Scale-out path tests: batched max-min and wave kernels.
 
-The three legs of the scale-out contract (ISSUE 7):
+The route table's sparse pair index is pinned in ``test_route_index``; this
+module covers the other legs of the scale-out contract:
 
-* sharded/budgeted route tables are **bit-identical** to the eager build on
-  every topology family, spill to disk under pressure, and clean up fully;
 * :meth:`FlowSimulator.maxmin_rates_batch` returns bit-identical results to
   per-scenario solves, both called directly and through the experiment
   engine's batch grouping;
@@ -11,27 +10,19 @@ The three legs of the scale-out contract (ISSUE 7):
   when importable), with exact cross-kernel parity.
 """
 
-import glob
-import os
-
 import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.core import build_hammingmesh
 from repro.exp import Runner, run_sweep
 from repro.exp.cells import maxmin_permutation_cell
 from repro.exp.recording import MemoryProbe
 from repro.sim import (
     FlowSimulator,
-    RouteTable,
     available_wave_kernels,
     clear_route_tables,
-    live_route_tables,
-    parse_mem_budget,
     random_permutation,
     resolve_wave_kernel,
-    route_table_for,
 )
 from repro.sim.wavekernel import wave_ends_numpy, wave_ends_python
 
@@ -43,97 +34,6 @@ def _has_numba() -> bool:
         return True
     except ImportError:
         return False
-
-
-# --------------------------------------------------------------------------
-# Sharded route tables
-# --------------------------------------------------------------------------
-class TestShardedRouteTables:
-    def test_paths_bit_identical_all_families(self, all_small_topologies):
-        for name, topo in all_small_topologies.items():
-            eager = RouteTable(topo, max_paths=4)
-            sharded = RouteTable(topo, max_paths=4, sharded=True, shard_sources=8)
-            assert not eager.is_sharded
-            assert sharded.is_sharded
-            accels = list(topo.accelerators)[:6]
-            for src in accels:
-                for dst in accels:
-                    if src == dst:
-                        continue
-                    assert eager.paths(src, dst) == sharded.paths(src, dst), (
-                        f"{name}: paths differ for pair ({src}, {dst})"
-                    )
-
-    def test_flow_rates_bit_identical_all_families(self, all_small_topologies):
-        for name, topo in all_small_topologies.items():
-            sim_eager = FlowSimulator(topo, max_paths=4, table=RouteTable(topo, max_paths=4))
-            sim_sharded = FlowSimulator(
-                topo,
-                max_paths=4,
-                table=RouteTable(topo, max_paths=4, sharded=True, shard_sources=8),
-            )
-            flows = random_permutation(topo.num_accelerators, seed=3)
-            a = sim_eager.maxmin_rates(flows)
-            b = sim_sharded.maxmin_rates(flows)
-            assert np.array_equal(a.flow_rates, b.flow_rates), name
-            assert np.array_equal(a.link_utilization, b.link_utilization), name
-            assert a.bottleneck_link == b.bottleneck_link, name
-
-    def test_budget_selects_sharded_and_bounds_residency(self, tmp_path):
-        topo = build_hammingmesh(2, 2, 4, 4)
-        budget = 16 << 10
-        table = RouteTable(
-            topo, max_paths=4, mem_budget=budget, shard_sources=8, spill_dir=str(tmp_path)
-        )
-        assert table.is_sharded  # dense index would not fit the budget
-        flows = random_permutation(topo.num_accelerators, seed=0)
-        FlowSimulator(topo, table=table).maxmin_rates(flows)
-        assert table.estimated_csr_bytes() <= budget
-        assert table.shards_built > 0
-
-    def test_spill_files_dropped_on_clear(self, tmp_path):
-        before_spill = obs.gauge("routing.spill_bytes").value
-        topo = build_hammingmesh(2, 2, 4, 4)
-        # A budget this tight forces evictions, which spill shards to disk.
-        table = RouteTable(
-            topo, max_paths=4, mem_budget=4096, shard_sources=4, spill_dir=str(tmp_path)
-        )
-        flows = random_permutation(topo.num_accelerators, seed=0)
-        FlowSimulator(topo, table=table).maxmin_rates(flows)
-        spilled = glob.glob(os.path.join(str(tmp_path), "repro-routes-*", "*.npz"))
-        assert table.shards_evicted > 0
-        assert spilled, "evictions under a tight budget must spill shards"
-        assert obs.gauge("routing.spill_bytes").value > before_spill
-        table.clear_route_caches()
-        assert table.estimated_csr_bytes() == 0
-        assert not glob.glob(os.path.join(str(tmp_path), "repro-routes-*", "*.npz"))
-        assert obs.gauge("routing.spill_bytes").value == before_spill
-        # Routes re-enumerate deterministically after the wipe.
-        assert table.paths(0, 5) == RouteTable(topo, max_paths=4).paths(0, 5)
-
-    def test_clear_route_tables_resets_live_tables(self, tmp_path):
-        clear_route_tables()
-        topo = build_hammingmesh(2, 2, 4, 4)
-        os.environ["REPRO_ROUTE_SPILL_DIR"] = str(tmp_path)
-        try:
-            sim = FlowSimulator(topo, max_paths=4, mem_budget=4096)
-            sim.maxmin_rates(random_permutation(topo.num_accelerators, seed=1))
-            tables = [t for t in live_route_tables() if t.is_sharded]
-            assert tables and any(t.estimated_csr_bytes() > 0 for t in tables)
-            clear_route_tables()
-            assert all(t.estimated_csr_bytes() == 0 for t in tables)
-            assert not glob.glob(os.path.join(str(tmp_path), "repro-routes-*", "*.npz"))
-        finally:
-            del os.environ["REPRO_ROUTE_SPILL_DIR"]
-
-    def test_parse_mem_budget(self):
-        assert parse_mem_budget(None) is None
-        assert parse_mem_budget("") is None
-        assert parse_mem_budget(4096) == 4096
-        assert parse_mem_budget("256M") == 256 << 20
-        assert parse_mem_budget("4G") == 4 << 30
-        with pytest.raises(ValueError):
-            parse_mem_budget("4Q")
 
 
 # --------------------------------------------------------------------------
@@ -197,7 +97,6 @@ class TestEngineBatching:
             "scaleout_permutation",
             runner=Runner(workers=1, cache=False),
             num_permutations=3,
-            mem_budget=None,
             **params,
         )
         assert obs.counter("exp.cells_batched").value == batched_before + 3
@@ -212,7 +111,6 @@ class TestEngineBatching:
             "scaleout_permutation",
             runner=Runner(workers=2, cache=False),
             num_permutations=3,
-            mem_budget=None,
             **params,
         )
         assert parallel.payload["permutations"] == solo
@@ -228,7 +126,6 @@ class TestEngineBatching:
             y=2,
             max_paths=4,
             num_permutations=2,
-            mem_budget=None,
         )
         stats = run.report.stats()
         assert stats["peak_rss_bytes"] is not None

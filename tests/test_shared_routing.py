@@ -3,8 +3,10 @@
 The in-process share/attach equivalences live in ``test_routing_backend``;
 this module covers the multiprocessing contract: a *spawned* child (no
 fork inheritance, its own resource tracker) attaches the parent's segment
-zero-copy, answers queries bit-identically, and neither a clean exit nor a
-hard crash of the child unlinks the owner's segment.
+zero-copy, answers queries bit-identically (also for a pair the snapshot
+lacks, which it routes into private copies without writing the segment),
+and neither a clean exit nor a hard crash of the child unlinks the owner's
+segment.
 """
 
 from __future__ import annotations
@@ -68,12 +70,22 @@ def _child_seeded_route_table(handle, flows):
     from repro.sim.routing import seed_shared_route_tables
 
     seed_shared_route_tables([handle])
-    sim = FlowSimulator(
-        handle.topo, max_paths=handle.max_paths, mem_budget=handle.mem_budget
-    )
+    sim = FlowSimulator(handle.topo, max_paths=handle.max_paths)
     attached = hasattr(sim.table, "_attach_lease")
     res = sim.maxmin_rates(flows)
     return attached, np.asarray(res.flow_rates)
+
+
+def _child_attach_and_miss(handle, pair):
+    """Spawned-child worker: attach, then route a pair the snapshot lacks."""
+    table = RouteTable.attach(handle)
+    first, count = table.pair_slice(*pair)
+    return {
+        "slice": (first, count),
+        "paths": table.paths(*pair),
+        "misses": table.stats.misses,
+        "private_bytes": table.estimated_csr_bytes() - table._csr_baseline,
+    }
 
 
 def _child_attach_and_crash(handle):
@@ -118,20 +130,35 @@ class TestCrossProcessBitIdentity:
             assert got["zero_private_bytes"], name
         clear_route_tables()
 
-    def test_sharded_table_matches_across_processes(self, hx2mesh_4x4, spawn_pool):
-        """The budget-sharded storage shares and attaches bit-identically."""
+    def test_attached_miss_matches_parent_without_writing_segment(
+        self, hx2mesh_4x4, spawn_pool
+    ):
+        """A pair missing from the snapshot routes privately in the child."""
         clear_route_tables()
-        table = route_table_for(hx2mesh_4x4, max_paths=4, mem_budget="64K")
-        assert table.is_sharded
+        table = route_table_for(hx2mesh_4x4, max_paths=4)
         pairs = _probe_pairs(hx2mesh_4x4)
-        flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=5)
-        expected = _query_table(table, pairs, flows)
+        for src, dst in pairs[:-1]:
+            table.pair_slice(src, dst)
+        handle = table.share()
+        seg = shared_memory.SharedMemory(name=handle.name)
+        try:  # this open is a probe, not an owner: keep the tracker clean
+            from multiprocessing import resource_tracker
+
+            resource_tracker.unregister(seg._name, "shared_memory")
+        except Exception:
+            pass
+        before = bytes(seg.buf[: handle.nbytes])
         got = spawn_pool.submit(
-            _child_attach_and_query, table.share(), pairs, flows
+            _child_attach_and_miss, handle, pairs[-1]
         ).result(timeout=120)
-        assert got["slices"] == expected["slices"]
-        assert np.array_equal(got["links"], expected["links"])
-        assert np.array_equal(got["flow_rates"], expected["flow_rates"])
+        after = bytes(seg.buf[: handle.nbytes])
+        seg.close()
+        # The parent routes the same pair next, so both number it alike.
+        assert got["slice"] == table.pair_slice(*pairs[-1])
+        assert got["paths"] == table.paths(*pairs[-1])
+        assert got["misses"] == 1
+        assert got["private_bytes"] > 0
+        assert after == before, "the attached child wrote the shared segment"
         clear_route_tables()
 
     def test_seeded_factory_attaches_in_child(self, fat_tree_64, spawn_pool):
